@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -84,10 +85,14 @@ def _parse_csv_matrix(path: str, header: bool) -> np.ndarray:
             if not line or (header and lineno == 1):
                 continue
             try:
-                rows.append([float(tok) for tok in line.split(",")])
+                row = [float(tok) for tok in line.split(",")]
             except ValueError:
                 raise CliError(f"parse failure in {path} at line {lineno}",
                                path=path, line=lineno)
+            if not all(map(math.isfinite, row)):
+                raise CliError(f"non-finite value in {path} at line {lineno}",
+                               path=path, line=lineno)
+            rows.append(row)
     if not rows:
         raise CliError(f"no data rows in {path}", path=path)
     widths = {len(r) for r in rows}
@@ -159,10 +164,8 @@ def _space_from_args(args) -> spaces.MetricSpace:
     return spaces.MetricSpace(kind, int(args.dim), args.normalization)
 
 
-def _apply_config(args) -> None:
-    """Fill unset argparse fields from the JSON config document."""
-    if not getattr(args, "config", None):
-        return
+def _config_defaults(args) -> dict:
+    """Option values from the JSON config document named by ``--config``."""
     if not os.path.exists(args.config):
         raise CliError(f"config file not found: {args.config}")
     with open(args.config) as handle:
@@ -170,10 +173,9 @@ def _apply_config(args) -> None:
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
             raise CliError(f"config parse failure: {exc}")
-    for key, value in doc.items():
-        key = key.replace("-", "_")
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
+    fields = {key.replace("-", "_"): value for key, value in doc.items()}
+    return {key: value for key, value in fields.items()
+            if hasattr(args, key) and key not in ("command", "config")}
 
 
 def _require_seed(args) -> int:
@@ -216,24 +218,28 @@ def cmd_fit(args) -> None:
     atomic_write(args.out, json.dumps(doc) + "\n")
 
 
-def _predict_one(doc, space, x):
-    """Return (object, converged flag, weights) for one query point."""
+def _load_model(doc):
+    """The fitted model of a model document: a GFR or a forest model."""
     kind = doc["estimator"]
     if kind == "gfr":
-        X = np.asarray(doc["X"])
+        space = spaces.MetricSpace.from_dict(doc["space"])
         Y = rows_to_objects(np.asarray(doc["Y"]), space)
-        gm = regressors.fit_gfr(X, Y, space)
-        w = regressors.gfr_weights(gm, x)
-        obj, info = spaces.weighted_frechet_mean(space, Y, w,
-                                                return_info=True)
-        return obj, info["converged"], w
-    model = forest_mod.model_from_dict(doc["model"])
-    if kind == "rfwlcfr":
+        return regressors.fit_gfr(np.asarray(doc["X"]), Y, space)
+    if kind not in regressors.FOREST_KINDS:
+        raise CliError(f"unknown estimator {kind!r} in model file")
+    return forest_mod.model_from_dict(doc["model"])
+
+
+def _predict_one(kind, model, x):
+    """Return (object, converged flag, weights) for one query point."""
+    if kind == "gfr":
+        w = regressors.gfr_weights(model, x)
+    elif kind == "rfwlcfr":
         w = kernel_weights(model, x)
     elif kind == "rfwllfr":
         w = regressors.local_linear_weights(model.X, x,
                                             kernel_weights(model, x))
-    elif kind == "frf":
+    else:  # frf
         leaf_means = np.stack([tree_mod.tree_predict(t, x, model.Y,
                                                      model.space)
                                for t in model.trees])
@@ -241,8 +247,6 @@ def _predict_one(doc, space, x):
         obj, info = spaces.weighted_frechet_mean(model.space, leaf_means, w,
                                                  return_info=True)
         return obj, info["converged"], w
-    else:
-        raise CliError(f"unknown estimator {kind!r} in model file")
     obj, info = spaces.weighted_frechet_mean(model.space, model.Y, w,
                                              return_info=True)
     return obj, info["converged"], w
@@ -253,14 +257,18 @@ def cmd_predict(args) -> None:
         raise CliError(f"model file not found: {args.model}")
     with open(args.model) as handle:
         doc = json.load(handle)
-    space = spaces.MetricSpace.from_dict(
-        doc["space"] if "space" in doc else doc["model"]["space"])
+    kind = doc["estimator"]
+    model = _load_model(doc)
     X = _parse_csv_matrix(args.x, args.header)
-    rows = []
     p = X.shape[1]
+    if p != model.X.shape[1]:
+        raise CliError(f"{args.x} has {p} predictor columns, the model "
+                       f"expects {model.X.shape[1]}",
+                       expected=model.X.shape[1], given=p)
+    rows = []
     first = None
     for x in X:
-        obj, converged, w = _predict_one(doc, space, x)
+        obj, converged, w = _predict_one(kind, model, x)
         flat = np.asarray(obj).ravel()
         if first is None:
             first = len(flat)
@@ -393,7 +401,8 @@ def _add_setting(sub):
                      choices=("logcholesky", "affine"))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults=None) -> argparse.ArgumentParser:
+    """The CLI parser; ``defaults`` replace the built-in option defaults."""
     parser = argparse.ArgumentParser(
         prog="frechetforest",
         description="Random-forest-weighted Fréchet regression toolkit")
@@ -454,6 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--out-dir", required=True)
 
+    if defaults:
+        for sub in subs.choices.values():
+            sub.set_defaults(**defaults)
     return parser
 
 
@@ -467,10 +479,11 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config:
+            # config fields become defaults: flag > config > built-in default
+            args = build_parser(_config_defaults(args)).parse_args(argv)
         _DISPATCH[args.command](args)
     except CliError as exc:
         payload = {"error": str(exc), "command": args.command}

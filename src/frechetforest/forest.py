@@ -10,14 +10,11 @@ twice counts as two leaf occupants.  Weights are nonnegative and sum to one.
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from . import tree as tree_mod
 from .spaces import MetricSpace
 from .tree import FrechetTree, TreeConfig, grow_tree, leaf_for
 

@@ -20,19 +20,18 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm as _gauss
 
 from . import regressors, spaces
 from . import tree as tree_mod
 from .forest import ForestConfig, fit_forest
 from .regressors import FOREST_KINDS
-from .spaces import (SPD_AFFINE, SPD_LOGCHOLESKY, MetricSpace, matrix_exp,
-                     sphere_exp, spd_space, sphere_space, wasserstein_space)
+from .spaces import (MetricSpace, matrix_exp, sphere_exp, spd_space,
+                     sphere_space, wasserstein_space)
 from .tree import TreeConfig
 
 SCENARIOS = ("I-1", "I-2", "I-3", "II-1", "II-2", "III-1", "III-2")
@@ -119,7 +118,10 @@ def quantile_levels(m: int) -> np.ndarray:
 
 def normal_quantile_grid(mu, sigma, m: int) -> np.ndarray:
     """Quantile vector(s) of N(mu, sigma^2) on the midpoint grid."""
-    z = _gauss.ppf(quantile_levels(m))
+    # imported here so that the package and the CLI start without scipy
+    from scipy.stats import norm
+
+    z = norm.ppf(quantile_levels(m))
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     return mu[..., None] + sigma[..., None] * z

@@ -7,7 +7,8 @@ node size.  Two split searches are available:
 
 * ``"exhaustive"`` -- scan midpoints between consecutive sorted unique
   values of the candidate feature and pick the threshold with the largest
-  gain.
+  gain.  Spaces with a Euclidean embedding score all thresholds of a
+  feature in one prefix-sum pass and re-score only the near-best ones.
 * ``"two_means"`` -- run 1-D 2-means on the candidate feature; the two
   cluster centers become representatives and points are routed to the closer
   one.  This is the default used in simulations.
@@ -20,7 +21,7 @@ thus the only ones that can carry kernel weight).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -142,8 +143,27 @@ class FrechetTree:
 # node impurity engines
 
 
+def _valid_thresholds(sorted_values: np.ndarray, min_leaf: int):
+    """Midpoint thresholds that leave ``min_leaf`` samples on each side.
+
+    Returns the midpoints between consecutive unique values, in increasing
+    order, with the left-child size of each.
+    """
+    uniq = np.unique(sorted_values)
+    mids = (uniq[:-1] + uniq[1:]) / 2.0
+    n_left = np.searchsorted(sorted_values, mids, side="left")
+    n = len(sorted_values)
+    ok = (n_left >= min_leaf) & (n - n_left >= min_leaf)
+    return mids[ok], n_left[ok]
+
+
 class _EmbeddedResponses:
     """Sum-of-squares engine for spaces with a Euclidean embedding."""
+
+    # Prefix-sum gains only screen thresholds: those within
+    # SCREEN_RTOL * (uncentred sum of squares) / n of the best are re-scored
+    # with ``node_ss``, whose rounding error scales with that sum.
+    SCREEN_RTOL = 1e-9
 
     def __init__(self, space: MetricSpace, ystack: np.ndarray):
         self.emb = spaces.embed(space, ystack)
@@ -153,6 +173,29 @@ class _EmbeddedResponses:
         mu = e.mean(axis=0)
         return float(np.sum(e * e) - len(e) * (mu @ mu))
 
+    def threshold_candidates(self, samples: np.ndarray, values: np.ndarray,
+                             min_leaf: int) -> np.ndarray:
+        """Thresholds whose gain may be the best, in increasing order.
+
+        Scores every valid threshold in one pass from prefix sums of the
+        node-centred embedding, then keeps those within the rounding
+        tolerance of the best so that exact re-scoring picks the same one.
+        """
+        order = np.argsort(values, kind="stable")
+        mids, n_left = _valid_thresholds(values[order], min_leaf)
+        if mids.size <= 1:
+            return mids
+        e = self.emb[samples[order]]
+        n = len(e)
+        sumsq = float(np.sum(e * e))
+        cs = np.cumsum(e - e.mean(axis=0), axis=0)
+        left = cs[n_left - 1]
+        right = cs[-1] - left
+        gain = (np.einsum("ij,ij->i", left, left) / n_left
+                + np.einsum("ij,ij->i", right, right) / (n - n_left)
+                - (cs[-1] @ cs[-1]) / n) / n
+        return mids[gain >= gain.max() - self.SCREEN_RTOL * sumsq / n]
+
 
 class _MetricResponses:
     """Sum-of-squares engine via explicit Frechet-mean solves."""
@@ -160,13 +203,17 @@ class _MetricResponses:
     def __init__(self, space: MetricSpace, ystack: np.ndarray):
         self.space = space
         self.ystack = ystack
-        self._ones_cache: dict = {}
 
     def node_ss(self, idx: np.ndarray) -> float:
         ys = self.ystack[idx]
         w = np.ones(len(idx))
         mean = spaces.weighted_frechet_mean(self.space, ys, w)
         return spaces.frechet_objective(self.space, ys, w, mean)
+
+    def threshold_candidates(self, samples: np.ndarray, values: np.ndarray,
+                             min_leaf: int) -> np.ndarray:
+        """Every valid threshold: curved spaces have no prefix-sum shortcut."""
+        return _valid_thresholds(np.sort(values), min_leaf)[0]
 
 
 def _responses_for(space: MetricSpace, ystack: np.ndarray):
@@ -179,6 +226,12 @@ def _responses_for(space: MetricSpace, ystack: np.ndarray):
 # split search
 
 
+def _gain(resp, samples: np.ndarray, mask: np.ndarray, total_ss: float) -> float:
+    """Frechet-variance reduction of splitting ``samples`` by ``mask``."""
+    return (total_ss - resp.node_ss(samples[mask])
+            - resp.node_ss(samples[~mask])) / len(samples)
+
+
 def split_gain_exhaustive(samples: np.ndarray, feature: int, threshold: float,
                           X: np.ndarray, ystack, space: MetricSpace,
                           resp=None) -> float:
@@ -187,11 +240,9 @@ def split_gain_exhaustive(samples: np.ndarray, feature: int, threshold: float,
         resp = _responses_for(space, ystack)
     samples = np.asarray(samples, dtype=np.intp)
     mask = X[samples, feature] < threshold
-    left, right = samples[mask], samples[~mask]
-    if len(left) == 0 or len(right) == 0:
+    if mask.all() or not mask.any():
         raise ValueError("threshold induces an empty child")
-    total = resp.node_ss(samples)
-    return (total - resp.node_ss(left) - resp.node_ss(right)) / len(samples)
+    return _gain(resp, samples, mask, resp.node_ss(samples))
 
 
 def two_means_1d(values: np.ndarray, exhaustive_limit: int = 64,
@@ -243,12 +294,9 @@ def split_two_means(samples: np.ndarray, feature: int, X: np.ndarray,
     values = X[samples, feature]
     c_lo, c_hi = two_means_1d(values)
     mask = np.abs(values - c_lo) <= np.abs(values - c_hi)
-    left, right = samples[mask], samples[~mask]
-    if len(left) == 0 or len(right) == 0:
+    if mask.all() or not mask.any():
         raise ValueError("degenerate 2-means partition")
-    total = resp.node_ss(samples)
-    gain = (total - resp.node_ss(left) - resp.node_ss(right)) / len(samples)
-    return c_lo, c_hi, gain
+    return c_lo, c_hi, _gain(resp, samples, mask, resp.node_ss(samples))
 
 
 def best_split(samples: np.ndarray, candidate_features, X: np.ndarray,
@@ -272,19 +320,8 @@ def best_split(samples: np.ndarray, candidate_features, X: np.ndarray,
     for j in sorted(int(f) for f in candidate_features):
         values = X[samples, j]
         if config.split_method == "exhaustive":
-            order = np.argsort(values, kind="stable")
-            sv = values[order]
-            uniq = np.unique(sv)
-            if uniq.size < 2:
-                continue
-            mids = (uniq[:-1] + uniq[1:]) / 2.0
-            for c in mids:
-                mask = values < c
-                nl = int(mask.sum())
-                if nl < k or n - nl < k:
-                    continue
-                gain = (total_ss - resp.node_ss(samples[mask])
-                        - resp.node_ss(samples[~mask])) / n
+            for c in resp.threshold_candidates(samples, values, k):
+                gain = _gain(resp, samples, values < c, total_ss)
                 if gain > best_gain:
                     best_gain = gain
                     best_rule = SplitRule(j, THRESHOLD, threshold=float(c))
@@ -296,8 +333,7 @@ def best_split(samples: np.ndarray, candidate_features, X: np.ndarray,
             nl = int(mask.sum())
             if nl < k or n - nl < k:
                 continue
-            gain = (total_ss - resp.node_ss(samples[mask])
-                    - resp.node_ss(samples[~mask])) / n
+            gain = _gain(resp, samples, mask, total_ss)
             if gain > best_gain:
                 best_gain = gain
                 best_rule = SplitRule(j, REPRESENTATIVES,

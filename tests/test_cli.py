@@ -1,11 +1,14 @@
 """CLI plumbing: dataset I/O, subcommands, determinism, error reporting."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from frechetforest import cli, simulate
+from frechetforest import cli, forest, regressors, simulate
 from frechetforest.cli import (CliError, atomic_write, load_dataset,
                                rows_to_objects, save_dataset)
 from frechetforest.spaces import spd_space, wasserstein_space
@@ -100,7 +103,8 @@ def test_tune_best_matches_table_argmin(tmp_path):
                    "--folds", "3", "--bandwidth-grid", "0.2", "0.4", "0.8",
                    "--out", str(tmp_path / "cv.csv")])
     assert rc == 0
-    table = cli._parse_csv_matrix(str(tmp_path / "cv.csv"), header=True)
+    # failed CV cells score inf, which the CLI's input parser rejects
+    table = np.loadtxt(tmp_path / "cv.csv", delimiter=",", skiprows=1)
     best = json.loads((tmp_path / "cv_best.json").read_text())
     assert best["bandwidth"] == pytest.approx(
         table[int(np.argmin(table[:, 1])), 0])
@@ -145,3 +149,116 @@ def test_missing_file_error_json(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert "not found" in err["error"]
     assert err["command"] == "fit"
+
+
+def test_config_num_trees_takes_effect(tmp_path):
+    out = tmp_path / "data"
+    cli.main(["simulate", "--scenario", "I-1", "--p", "2", "--n", "30",
+              "--seed", "5", "--out-dir", str(out)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"num_trees": 3, "split-method": "exhaustive",
+                               "seed": 1}))
+    rc = cli.main(["fit", "--estimator", "rfwlcfr", "--space", "wasserstein",
+                   "--dim", "21", "--x", str(out / "X.csv"),
+                   "--y", str(out / "Y.csv"), "--config", str(cfg),
+                   "--out", str(tmp_path / "m.json")])
+    assert rc == 0
+    model = json.loads((tmp_path / "m.json").read_text())["model"]
+    assert len(model["trees"]) == 3
+    assert model["config"]["tree"]["split_method"] == "exhaustive"
+    # a flag still wins over the config document
+    rc = cli.main(["fit", "--estimator", "rfwlcfr", "--space", "wasserstein",
+                   "--dim", "21", "--x", str(out / "X.csv"),
+                   "--y", str(out / "Y.csv"), "--config", str(cfg),
+                   "--num-trees", "2", "--out", str(tmp_path / "m2.json")])
+    assert rc == 0
+    model = json.loads((tmp_path / "m2.json").read_text())["model"]
+    assert len(model["trees"]) == 2
+
+
+def _fit_small_model(tmp_path, estimator="rfwllfr"):
+    out = tmp_path / "data"
+    cli.main(["simulate", "--scenario", "I-2", "--p", "2", "--n", "40",
+              "--seed", "7", "--out-dir", str(out)])
+    model = tmp_path / f"{estimator}.json"
+    rc = cli.main(["fit", "--estimator", estimator, "--space", "wasserstein",
+                   "--dim", "21", "--x", str(out / "X.csv"),
+                   "--y", str(out / "Y.csv"), "--seed", "1",
+                   "--num-trees", "4", "--out", str(model)])
+    assert rc == 0
+    return model
+
+
+def test_nonfinite_csv_value_names_line(tmp_path):
+    for token in ("nan", "inf", "-Infinity"):
+        (tmp_path / "bad.csv").write_text(f"0.1,0.2\n0.3,{token}\n")
+        with pytest.raises(CliError, match="line 2") as info:
+            cli._parse_csv_matrix(str(tmp_path / "bad.csv"), header=False)
+        assert "non-finite" in str(info.value)
+        assert info.value.details == {"path": str(tmp_path / "bad.csv"),
+                                      "line": 2}
+    _write_csv(tmp_path / "X.csv", [[0.1], [0.2]])
+    (tmp_path / "Y.csv").write_text("0.0\nnan\n")
+    with pytest.raises(CliError, match="line 2"):
+        load_dataset(str(tmp_path / "X.csv"), str(tmp_path / "Y.csv"),
+                     wasserstein_space(1))
+
+
+def test_predict_rejects_nonfinite_query(tmp_path, capsys):
+    model = _fit_small_model(tmp_path)
+    _write_csv(tmp_path / "q.csv", [[0.1, 0.2], [0.3, float("nan")]])
+    rc = cli.main(["predict", "--model", str(model),
+                   "--x", str(tmp_path / "q.csv"),
+                   "--out", str(tmp_path / "p.csv")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["line"] == 2 and "non-finite" in err["error"]
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_predict_rejects_predictor_count_mismatch(tmp_path, capsys):
+    model = _fit_small_model(tmp_path)
+    _write_csv(tmp_path / "q.csv", [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+    rc = cli.main(["predict", "--model", str(model),
+                   "--x", str(tmp_path / "q.csv"),
+                   "--out", str(tmp_path / "p.csv")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["expected"], err["given"]) == (2, 3)
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("estimator,loader",
+                         [("rfwllfr", (forest, "model_from_dict")),
+                          ("frf", (forest, "model_from_dict")),
+                          ("gfr", (regressors, "fit_gfr"))])
+def test_predict_loads_model_once(tmp_path, monkeypatch, estimator, loader):
+    model = _fit_small_model(tmp_path, estimator)
+    rng = np.random.default_rng(0)
+    _write_csv(tmp_path / "q.csv", rng.uniform(size=(5, 2)))
+    calls = []
+    module, name = loader
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    rc = cli.main(["predict", "--model", str(model),
+                   "--x", str(tmp_path / "q.csv"),
+                   "--out", str(tmp_path / "p.csv")])
+    assert rc == 0
+    assert calls == [name]
+    pred = cli._parse_csv_matrix(str(tmp_path / "p.csv"), header=True)
+    assert pred.shape == (5, 2 + 21 + 4)
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, frechetforest.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

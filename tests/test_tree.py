@@ -128,6 +128,103 @@ def test_best_split_recovers_signal_feature():
     assert rule.feature == 1
 
 
+def _reference_best_split(samples, features, X, Y, space, cfg):
+    """Per-threshold scan scored with ``split_gain_exhaustive``."""
+    best, best_gain = None, 0.0
+    for j in sorted(features):
+        values = X[samples, j]
+        uniq = np.unique(values)
+        for c in (uniq[:-1] + uniq[1:]) / 2.0:
+            n_left = int(np.sum(values < c))
+            if min(n_left, len(samples) - n_left) < cfg.min_leaf:
+                continue
+            gain = split_gain_exhaustive(samples, j, c, X, Y, space)
+            if gain > best_gain:
+                best, best_gain = (j, float(c)), gain
+    return best
+
+
+def _random_responses(space, n, rng):
+    if space.kind == spaces.WASSERSTEIN:
+        return np.sort(rng.normal(size=(n, space.dim)), axis=1) \
+            + rng.normal(size=(n, 1))
+    A = rng.normal(size=(n, space.dim, space.dim))
+    return A @ np.transpose(A, (0, 2, 1)) + 0.1 * np.eye(space.dim)
+
+
+@pytest.mark.parametrize("space", [wasserstein_space(5),
+                                   spaces.spd_space(2, "logcholesky")],
+                         ids=["wasserstein", "logcholesky"])
+def test_prefix_sum_split_matches_per_threshold_reference(space):
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        n = int(rng.integers(4, 40))
+        X = rng.uniform(size=(n, 3))
+        if trial % 3 == 0:  # tied predictor values
+            X = np.round(X * rng.integers(1, 5)) / 4.0
+        Y = _random_responses(space, n, rng)
+        samples = np.sort(rng.integers(0, n, size=n))  # bootstrap duplicates
+        # min_leaf from 1 to one past the largest that still allows a split
+        min_leaf = int(rng.integers(1, n // 2 + 2))
+        cfg = TreeConfig(min_leaf=min_leaf, split_method="exhaustive")
+        rule = best_split(samples, [0, 1, 2], X, Y, space, cfg)
+        want = _reference_best_split(samples, [0, 1, 2], X, Y, space, cfg)
+        got = None if rule is None else (rule.feature, rule.threshold)
+        assert got == want, (trial, n, min_leaf)
+
+
+def test_mirrored_responses_tie_toward_lower_threshold():
+    # thresholds i + 0.5 and n - 1.5 - i split off mirror-image children,
+    # so their gains tie up to rounding; the exact re-score must decide
+    rng = np.random.default_rng(14)
+    space = wasserstein_space(3)
+    for trial in range(100):
+        half = np.round(np.sort(rng.normal(size=(int(rng.integers(3, 12)), 3)),
+                                axis=1), 1)
+        Y = np.concatenate([half, half[::-1]])
+        n = len(Y)
+        X = np.arange(n, dtype=float).reshape(-1, 1)
+        cfg = TreeConfig(min_leaf=1, split_method="exhaustive")
+        rule = best_split(np.arange(n), [0], X, Y, space, cfg)
+        want = _reference_best_split(np.arange(n), [0], X, Y, space, cfg)
+        assert (rule.feature, rule.threshold) == want, trial
+
+
+def test_identical_partitions_break_toward_lower_feature():
+    # feature 1 orders the samples differently inside each side, but both
+    # features induce the same best partition: the lower feature must win
+    rng = np.random.default_rng(12)
+    space = wasserstein_space(4)
+    for trial in range(20):
+        n = 60
+        x0 = rng.uniform(size=n)
+        side = x0 < 0.5
+        x1 = np.where(side, 0.4, 0.6) + 0.3 * rng.uniform(size=n) \
+            * np.where(side, -1.0, 1.0)
+        X = np.column_stack([x0, x1])
+        Y = np.sort(rng.normal(size=(n, 4)), axis=1) + 5.0 * side[:, None]
+        samples = np.sort(rng.integers(0, n, size=n))
+        cfg = TreeConfig(min_leaf=3, split_method="exhaustive")
+        rule = best_split(samples, [0, 1], X, Y, space, cfg)
+        assert rule.feature == 0, trial
+        assert (rule.feature, rule.threshold) == _reference_best_split(
+            samples, [0, 1], X, Y, space, cfg)
+
+
+def test_curved_space_split_matches_per_threshold_reference():
+    rng = np.random.default_rng(13)
+    space = sphere_space(3)
+    for trial in range(3):
+        n = 14
+        X = np.round(rng.uniform(size=(n, 2)) * 6) / 6
+        Y = rng.normal(size=(n, 3))
+        Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+        cfg = TreeConfig(min_leaf=2, split_method="exhaustive")
+        rule = best_split(np.arange(n), [0, 1], X, Y, space, cfg)
+        want = _reference_best_split(np.arange(n), [0, 1], X, Y, space, cfg)
+        assert (rule.feature, rule.threshold) == want
+
+
 def test_grow_tree_depth_one_single_leaf():
     rng = np.random.default_rng(6)
     X = rng.uniform(size=(20, 2))
