@@ -239,14 +239,11 @@ def _predict_one(kind, model, x):
     elif kind == "rfwllfr":
         w = regressors.local_linear_weights(model.X, x,
                                             kernel_weights(model, x))
-    else:  # frf
-        leaf_means = np.stack([tree_mod.tree_predict(t, x, model.Y,
-                                                     model.space)
-                               for t in model.trees])
-        w = np.full(len(leaf_means), 1.0 / len(leaf_means))
-        obj, info = spaces.weighted_frechet_mean(model.space, leaf_means, w,
-                                                 return_info=True)
-        return obj, info["converged"], w
+    else:  # frf: the weights are the equal weights of the tree means
+        means = regressors.leaf_means(model, x)
+        obj, info = spaces.weighted_frechet_mean(
+            model.space, means, np.ones(len(means)), return_info=True)
+        return obj, info["converged"], np.full(len(means), 1.0 / len(means))
     obj, info = spaces.weighted_frechet_mean(model.space, model.Y, w,
                                              return_info=True)
     return obj, info["converged"], w

@@ -62,6 +62,10 @@ class ForestModel:
     Y: np.ndarray
     space: MetricSpace
     config: ForestConfig
+    # per-leaf Frechet means, filled on demand by ``regressors.leaf_means``;
+    # derived from the fields above and never serialised
+    leaf_mean_cache: dict = field(default_factory=dict, init=False,
+                                  repr=False, compare=False)
 
     @property
     def n_samples(self) -> int:
@@ -78,9 +82,12 @@ def fit_forest(X: np.ndarray, Y: np.ndarray, space: MetricSpace,
                config: ForestConfig) -> ForestModel:
     """Grow the ensemble on deterministic per-tree subsamples."""
     X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
     n = len(X)
     if n != len(Y):
         raise ValueError("X and Y have different lengths")
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise ValueError("X and Y must be finite")
     if n < 2 * config.tree.min_leaf:
         raise ValueError("need at least 2*min_leaf training samples")
     if config.subsample_mode == WITHOUT_REPLACEMENT:

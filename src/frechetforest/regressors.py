@@ -26,7 +26,7 @@ import numpy as np
 from . import spaces
 from .forest import ForestConfig, ForestModel, fit_forest, kernel_weights
 from .spaces import MetricSpace
-from .tree import TreeConfig, tree_predict
+from .tree import TreeConfig, leaf_for
 
 FOREST_KINDS = ("rfwlcfr", "rfwllfr", "frf")
 KERNEL_KINDS = ("nw", "lfr_kernel")
@@ -83,10 +83,28 @@ def predict_rfwllfr(model: ForestModel, x: np.ndarray) -> np.ndarray:
     return spaces.weighted_frechet_mean(model.space, model.Y, t)
 
 
+def leaf_means(model: ForestModel, x: np.ndarray) -> np.ndarray:
+    """Per-tree predictions at ``x``: the Frechet means of its leaves.
+
+    A leaf's equal-weight mean depends only on the model, so each is solved
+    once and kept in ``model.leaf_mean_cache``, keyed by the identity of the
+    leaf's index array (held in the entry, so the key cannot be reused).
+    """
+    cache = model.leaf_mean_cache
+    out = []
+    for t in model.trees:
+        idx = leaf_for(t, x)
+        entry = cache.get(id(idx))
+        if entry is None or entry[0] is not idx:
+            entry = cache[id(idx)] = (idx, spaces.weighted_frechet_mean(
+                model.space, model.Y[idx], np.ones(len(idx))))
+        out.append(entry[1])
+    return np.stack(out)
+
+
 def predict_frf(model: ForestModel, x: np.ndarray) -> np.ndarray:
     """Two-stage prediction: Frechet mean of the per-tree predictions."""
-    preds = np.stack([tree_predict(t, x, model.Y, model.space)
-                      for t in model.trees])
+    preds = leaf_means(model, x)
     return spaces.weighted_frechet_mean(model.space, preds,
                                         np.ones(len(preds)))
 

@@ -118,10 +118,11 @@ def quantile_levels(m: int) -> np.ndarray:
 
 def normal_quantile_grid(mu, sigma, m: int) -> np.ndarray:
     """Quantile vector(s) of N(mu, sigma^2) on the midpoint grid."""
-    # imported here so that the package and the CLI start without scipy
-    from scipy.stats import norm
+    # imported here so that the package and the CLI start without scipy;
+    # ``ndtri`` is the normal quantile function without ``scipy.stats``
+    from scipy.special import ndtri
 
-    z = norm.ppf(quantile_levels(m))
+    z = ndtri(quantile_levels(m))
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     return mu[..., None] + sigma[..., None] * z

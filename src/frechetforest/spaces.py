@@ -22,6 +22,7 @@ along the first axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,6 +98,8 @@ def validate_object(space: MetricSpace, y: np.ndarray) -> np.ndarray:
     shape mismatch or invariant violation.
     """
     y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError("object has non-finite entries")
     if space.kind == WASSERSTEIN:
         if y.shape != (space.dim,):
             raise ValueError(f"expected quantile vector of length {space.dim}, "
@@ -157,17 +160,11 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
     return (vecs * np.exp(vals)) @ vecs.T
 
 
-def _batch_sym_log(mats: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mats)
-    return np.einsum("...ij,...j,...kj->...ik", vecs, np.log(vals), vecs)
-
-
-def _sqrt_and_invsqrt(y: np.ndarray):
+def _invsqrt(y: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(y)
     if vals[0] <= 0:
         raise ValueError("matrix is not positive definite")
-    s = np.sqrt(vals)
-    return (vecs * s) @ vecs.T, (vecs / s) @ vecs.T
+    return (vecs / np.sqrt(vals)) @ vecs.T
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +259,7 @@ def distance(space: MetricSpace, a: np.ndarray, b: np.ndarray) -> float:
         eb = _logchol_embed_one(b)
         return float(np.linalg.norm(ea - eb))
     # affine-invariant
-    _, isq = _sqrt_and_invsqrt(a)
+    isq = _invsqrt(a)
     mid = isq @ b @ isq
     vals = np.linalg.eigvalsh((mid + mid.T) / 2.0)
     if vals[0] <= 0:
@@ -281,7 +278,7 @@ def dist2_to_point(space: MetricSpace, ystack: np.ndarray, y: np.ndarray) -> np.
         e = embed(space, ystack)
         ey = _logchol_embed_one(y)
         return np.sum((e - ey) ** 2, axis=1)
-    _, isq = _sqrt_and_invsqrt(y)
+    isq = _invsqrt(y)
     mids = np.einsum("ij,njk,kl->nil", isq, ystack, isq)
     mids = (mids + np.swapaxes(mids, 1, 2)) / 2.0
     vals = np.linalg.eigvalsh(mids)
@@ -296,11 +293,15 @@ def has_embedding(space: MetricSpace) -> bool:
     return space.kind in (WASSERSTEIN, SPD_LOGCHOLESKY)
 
 
+@lru_cache(maxsize=None)
+def _tril(m: int):
+    """Strictly-lower-triangle indices of an ``m x m`` matrix."""
+    return np.tril_indices(m, -1)
+
+
 def _logchol_embed_one(y: np.ndarray) -> np.ndarray:
     L = cholesky_factor(y)
-    m = L.shape[0]
-    tril = np.tril_indices(m, -1)
-    return np.concatenate([L[tril], np.log(np.diag(L))])
+    return np.concatenate([L[_tril(L.shape[0])], np.log(np.diag(L))])
 
 
 def embed(space: MetricSpace, ystack: np.ndarray) -> np.ndarray:
@@ -311,7 +312,7 @@ def embed(space: MetricSpace, ystack: np.ndarray) -> np.ndarray:
         ys = np.asarray(ystack, dtype=float)
         L = np.linalg.cholesky(ys)
         m = space.dim
-        tril = np.tril_indices(m, -1)
+        tril = _tril(m)
         diag = np.arange(m)
         return np.concatenate(
             [L[:, tril[0], tril[1]], np.log(L[:, diag, diag])], axis=1)
@@ -328,7 +329,7 @@ def unembed(space: MetricSpace, e: np.ndarray) -> np.ndarray:
             return np.stack([unembed(space, row) for row in e])
         m = space.dim
         L = np.zeros((m, m))
-        tril = np.tril_indices(m, -1)
+        tril = _tril(m)
         k = tril[0].size
         L[tril] = e[:k]
         L[np.arange(m), np.arange(m)] = np.exp(e[k:])
@@ -358,15 +359,25 @@ def weighted_frechet_mean(space: MetricSpace, ystack: np.ndarray,
     the weighted average in the embedding; the quantile result is projected
     back onto the nondecreasing cone, which is only active for signed
     weights.  Curved spaces use Riemannian descent with step halving.
+    Non-finite weights or objects raise ``ValueError``.  Objects with weight
+    exactly zero are dropped before solving: they add nothing to the
+    objective or to its gradient.
     """
     ystack = np.asarray(ystack, dtype=float)
     w = np.asarray(weights, dtype=float)
     if len(w) != len(ystack):
         raise ValueError("weights and objects have different lengths")
     total = w.sum()
+    # a sum is non-finite when any term is (or when it overflows), which
+    # is much cheaper than an elementwise test on every call
+    if not (np.isfinite(total) and np.isfinite(ystack.sum())):
+        raise ValueError("weights and objects must be finite")
     if total <= 0 or not np.any(w != 0):
         raise ValueError("total weight must be positive")
     wn = w / total
+    support = wn != 0
+    if not support.all():
+        ystack, wn = ystack[support], wn[support]
 
     info = {"converged": True, "iterations": 0}
     if space.kind == WASSERSTEIN:
@@ -465,17 +476,31 @@ def _affine_mean(space: MetricSpace, ystack: np.ndarray, wn: np.ndarray):
     return best
 
 
-def _affine_descent(ystack: np.ndarray, wn: np.ndarray, y: np.ndarray):
-    def obj_and_logs(p):
-        _, isq = _sqrt_and_invsqrt(p)
-        mids = np.einsum("ij,njk,kl->nil", isq, ystack, isq)
-        mids = (mids + np.swapaxes(mids, 1, 2)) / 2.0
-        logs = _batch_sym_log(mids)
-        vals = np.linalg.eigvalsh(mids)
-        o = float(wn @ np.sum(np.log(np.maximum(vals, 1e-300)) ** 2, axis=1))
-        return o, logs
+def _whitened_obj_and_logs(Z: np.ndarray, wn: np.ndarray):
+    """Objective and matrix logs of a whitened stack, from one ``eigh``."""
+    vals, vecs = np.linalg.eigh(Z)
+    lv = np.log(np.maximum(vals, 1e-300))
+    logs = (vecs * lv[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+    return float(wn @ np.sum(lv ** 2, axis=1)), logs
 
-    cur, logs = obj_and_logs(y)
+
+def _affine_descent(ystack: np.ndarray, wn: np.ndarray, y: np.ndarray):
+    """Step-halving descent on the affine-invariant objective.
+
+    The iterate is kept as a frame ``G`` with ``y = G G^T``, and the stack
+    whitened by it, ``Z_i = G^-1 Y_i G^-T``: the objective is then
+    ``sum_i w_i |log eig(Z_i)|^2`` and the gradient is ``sum_i w_i log Z_i``
+    in that frame.  Each iteration diagonalises the gradient once,
+    ``V = U diag(lam) U^T``, and rotates the stack to ``W_i = U^T Z_i U``;
+    a step of size ``t`` moves the frame to ``G U D`` with
+    ``D = diag(exp(t lam / 2))`` and the stack to ``D^-1 W_i D^-1``, so each
+    step-halving candidate costs one batched ``eigh``.
+    """
+    G = np.linalg.cholesky(y)
+    Ginv = np.linalg.inv(G)
+    Z = Ginv @ ystack @ Ginv.T
+    Z = (Z + np.swapaxes(Z, 1, 2)) / 2.0
+    cur, logs = _whitened_obj_and_logs(Z, wn)
     step = 1.0
     converged = False
     it = 0
@@ -484,12 +509,14 @@ def _affine_descent(ystack: np.ndarray, wn: np.ndarray, y: np.ndarray):
         if np.linalg.norm(v) < 1e-14:
             converged = True
             break
-        sq, _ = _sqrt_and_invsqrt(y)
+        lam, U = np.linalg.eigh((v + v.T) / 2.0)
+        W = U.T @ Z @ U
+        W = (W + np.swapaxes(W, 1, 2)) / 2.0
         accepted = False
         while step >= 1e-12:
-            cand = sq @ matrix_exp(step * (v + v.T) / 2.0) @ sq
-            cand = (cand + cand.T) / 2.0
-            cand_obj, cand_logs = obj_and_logs(cand)
+            d = np.exp(step * lam / 2.0)
+            cand = W / np.outer(d, d)
+            cand_obj, cand_logs = _whitened_obj_and_logs(cand, wn)
             if cand_obj < cur:
                 accepted = True
                 break
@@ -498,9 +525,12 @@ def _affine_descent(ystack: np.ndarray, wn: np.ndarray, y: np.ndarray):
             converged = True
             break
         improvement = cur - cand_obj
-        y, cur, logs = cand, cand_obj, cand_logs
+        G = (G @ U) * d
+        Z, cur, logs = cand, cand_obj, cand_logs
         step = min(1.0, 2.0 * step)
         if improvement < _OBJ_TOL:
             converged = True
             break
-    return y, {"converged": converged, "iterations": it, "objective": cur}
+    y = G @ G.T
+    return (y + y.T) / 2.0, {"converged": converged, "iterations": it,
+                             "objective": cur}

@@ -198,17 +198,27 @@ class _EmbeddedResponses:
 
 
 class _MetricResponses:
-    """Sum-of-squares engine via explicit Frechet-mean solves."""
+    """Sum-of-squares engine via explicit Frechet-mean solves.
+
+    Each index set is solved once per engine: a winning split's children
+    come back as the next nodes' totals, and different features often
+    induce the same partition.
+    """
 
     def __init__(self, space: MetricSpace, ystack: np.ndarray):
         self.space = space
         self.ystack = ystack
+        self._ss = {}
 
     def node_ss(self, idx: np.ndarray) -> float:
-        ys = self.ystack[idx]
-        w = np.ones(len(idx))
-        mean = spaces.weighted_frechet_mean(self.space, ys, w)
-        return spaces.frechet_objective(self.space, ys, w, mean)
+        key = idx.tobytes()
+        ss = self._ss.get(key)
+        if ss is None:
+            _, info = spaces.weighted_frechet_mean(
+                self.space, self.ystack[idx], np.ones(len(idx)),
+                return_info=True)
+            ss = self._ss[key] = len(idx) * info["objective"]
+        return ss
 
     def threshold_candidates(self, samples: np.ndarray, values: np.ndarray,
                              min_leaf: int) -> np.ndarray:
@@ -227,9 +237,13 @@ def _responses_for(space: MetricSpace, ystack: np.ndarray):
 
 
 def _gain(resp, samples: np.ndarray, mask: np.ndarray, total_ss: float) -> float:
-    """Frechet-variance reduction of splitting ``samples`` by ``mask``."""
-    return (total_ss - resp.node_ss(samples[mask])
-            - resp.node_ss(samples[~mask])) / len(samples)
+    """Frechet-variance reduction of splitting ``samples`` by ``mask``.
+
+    The children's sums are added first, so a partition and its mirror
+    image (children swapped) score exactly the same gain.
+    """
+    return (total_ss - (resp.node_ss(samples[mask])
+                        + resp.node_ss(samples[~mask]))) / len(samples)
 
 
 def split_gain_exhaustive(samples: np.ndarray, feature: int, threshold: float,

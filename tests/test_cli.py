@@ -262,3 +262,34 @@ def test_cli_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_frf_rows_equal_library_predictions(tmp_path):
+    model_path = _fit_small_model(tmp_path, "frf")
+    rng = np.random.default_rng(3)
+    queries = rng.uniform(size=(6, 2))
+    _write_csv(tmp_path / "q.csv", queries)
+    rc = cli.main(["predict", "--model", str(model_path),
+                   "--x", str(tmp_path / "q.csv"),
+                   "--out", str(tmp_path / "p.csv")])
+    assert rc == 0
+    pred = cli._parse_csv_matrix(str(tmp_path / "p.csv"), header=True)
+    doc = json.loads(model_path.read_text())
+    model = forest.model_from_dict(doc["model"])
+    expected = np.stack([regressors.predict_frf(model, x) for x in queries])
+    # 17 significant digits round-trip every double exactly
+    assert np.array_equal(pred[:, 2:2 + 21], expected)
+    assert np.array_equal(pred[:, -1], np.ones(6))
+
+
+def test_simulate_wasserstein_does_not_load_scipy_stats(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; from frechetforest import cli; "
+            "rc = cli.main(['simulate', '--scenario', 'I-2', '--n', '20', "
+            f"'--seed', '1', '--out-dir', {str(tmp_path / 'd')!r}]); "
+            "print(rc, 'scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["0", "False"]
+    assert (tmp_path / "d" / "Y.csv").exists()

@@ -137,6 +137,22 @@ def test_insufficient_data_rejected():
                    ForestConfig(num_trees=1, tree=TreeConfig(min_leaf=5)))
 
 
+def test_nonfinite_training_data_rejected():
+    rng = np.random.default_rng(2)
+    X = rng.uniform(size=(20, 2))
+    Y = scalar_data(rng.normal(size=20))
+    cfg = ForestConfig(num_trees=1, tree=TreeConfig(min_leaf=2))
+    for bad in (np.nan, np.inf):
+        X_bad = X.copy()
+        X_bad[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_forest(X_bad, Y, SCALAR, cfg)
+        Y_bad = Y.copy()
+        Y_bad[7, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_forest(X, Y_bad, SCALAR, cfg)
+
+
 def test_model_serialization_roundtrip():
     rng = np.random.default_rng(6)
     X = rng.uniform(size=(30, 2))

@@ -275,6 +275,31 @@ def test_validate_object():
                                                        [2.0, 1.0]]))
 
 
+def test_validate_object_rejects_nan():
+    nan_objects = [(wasserstein_space(3), np.array([0.0, np.nan, 1.0])),
+                   (sphere_space(3), np.array([np.nan, 0.0, 1.0])),
+                   (spd_space(2), np.array([[1.0, np.nan], [np.nan, 1.0]])),
+                   (spd_space(2, "affine"), np.full((2, 2), np.inf))]
+    for space, y in nan_objects:
+        with pytest.raises(ValueError, match="non-finite"):
+            spaces.validate_object(space, y)
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: s.kind)
+def test_mean_rejects_nonfinite_weights_and_objects(space):
+    rng = np.random.default_rng(9)
+    ys = np.stack([random_object(space, rng) for _ in range(4)])
+    for bad in (np.nan, np.inf):
+        w = np.ones(4)
+        w[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            weighted_frechet_mean(space, ys, w)
+        ys_bad = ys.copy()
+        ys_bad[1].flat[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            weighted_frechet_mean(space, ys_bad, np.ones(4))
+
+
 def test_space_serialization_roundtrip():
     for space in ALL_SPACES:
         assert MetricSpace.from_dict(space.to_dict()) == space
