@@ -240,10 +240,9 @@ def _predict_one(kind, model, x):
         w = regressors.local_linear_weights(model.X, x,
                                             kernel_weights(model, x))
     else:  # frf: the weights are the equal weights of the tree means
-        means = regressors.leaf_means(model, x)
-        obj, info = spaces.weighted_frechet_mean(
-            model.space, means, np.ones(len(means)), return_info=True)
-        return obj, info["converged"], np.full(len(means), 1.0 / len(means))
+        obj, info = regressors.predict_frf(model, x, return_info=True)
+        n = len(model.trees)
+        return obj, info["converged"], np.full(n, 1.0 / n)
     obj, info = spaces.weighted_frechet_mean(model.space, model.Y, w,
                                              return_info=True)
     return obj, info["converged"], w

@@ -86,27 +86,31 @@ def predict_rfwllfr(model: ForestModel, x: np.ndarray) -> np.ndarray:
 def leaf_means(model: ForestModel, x: np.ndarray) -> np.ndarray:
     """Per-tree predictions at ``x``: the Frechet means of its leaves.
 
-    A leaf's equal-weight mean depends only on the model, so each is solved
-    once and kept in ``model.leaf_mean_cache``, keyed by the identity of the
-    leaf's index array (held in the entry, so the key cannot be reused).
+    A leaf's equal-weight mean depends only on the model, so each index
+    set is solved once and kept in ``model.leaf_mean_cache``.
     """
     cache = model.leaf_mean_cache
     out = []
     for t in model.trees:
         idx = leaf_for(t, x)
-        entry = cache.get(id(idx))
-        if entry is None or entry[0] is not idx:
-            entry = cache[id(idx)] = (idx, spaces.weighted_frechet_mean(
-                model.space, model.Y[idx], np.ones(len(idx))))
-        out.append(entry[1])
+        key = idx.tobytes()
+        mean = cache.get(key)
+        if mean is None:
+            mean = cache[key] = spaces.weighted_frechet_mean(
+                model.space, model.Y[idx], np.ones(len(idx)))
+        out.append(mean)
     return np.stack(out)
 
 
-def predict_frf(model: ForestModel, x: np.ndarray) -> np.ndarray:
-    """Two-stage prediction: Frechet mean of the per-tree predictions."""
+def predict_frf(model: ForestModel, x: np.ndarray, return_info: bool = False):
+    """Two-stage prediction: Frechet mean of the per-tree predictions.
+
+    With ``return_info`` the second-stage solver's info comes back too.
+    """
     preds = leaf_means(model, x)
     return spaces.weighted_frechet_mean(model.space, preds,
-                                        np.ones(len(preds)))
+                                        np.ones(len(preds)),
+                                        return_info=return_info)
 
 
 _FOREST_PREDICTORS = {"rfwlcfr": predict_rfwlcfr,

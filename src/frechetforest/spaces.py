@@ -160,11 +160,12 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
     return (vecs * np.exp(vals)) @ vecs.T
 
 
-def _invsqrt(y: np.ndarray) -> np.ndarray:
+def _sqrt_and_invsqrt(y: np.ndarray):
     vals, vecs = np.linalg.eigh(y)
     if vals[0] <= 0:
         raise ValueError("matrix is not positive definite")
-    return (vecs / np.sqrt(vals)) @ vecs.T
+    s = np.sqrt(vals)
+    return (vecs * s) @ vecs.T, (vecs / s) @ vecs.T
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +260,7 @@ def distance(space: MetricSpace, a: np.ndarray, b: np.ndarray) -> float:
         eb = _logchol_embed_one(b)
         return float(np.linalg.norm(ea - eb))
     # affine-invariant
-    isq = _invsqrt(a)
+    _, isq = _sqrt_and_invsqrt(a)
     mid = isq @ b @ isq
     vals = np.linalg.eigvalsh((mid + mid.T) / 2.0)
     if vals[0] <= 0:
@@ -278,7 +279,7 @@ def dist2_to_point(space: MetricSpace, ystack: np.ndarray, y: np.ndarray) -> np.
         e = embed(space, ystack)
         ey = _logchol_embed_one(y)
         return np.sum((e - ey) ** 2, axis=1)
-    isq = _invsqrt(y)
+    _, isq = _sqrt_and_invsqrt(y)
     mids = np.einsum("ij,njk,kl->nil", isq, ystack, isq)
     mids = (mids + np.swapaxes(mids, 1, 2)) / 2.0
     vals = np.linalg.eigvalsh(mids)
@@ -393,6 +394,26 @@ def weighted_frechet_mean(space: MetricSpace, ystack: np.ndarray,
     return out
 
 
+def sum_sq_to_mean(space: MetricSpace, ystack: np.ndarray) -> float:
+    """Sum of squared distances from the objects to their Frechet mean.
+
+    This is the node impurity of tree growth.  A partition and its mirror
+    image on another feature score gains that tie up to rounding, and the
+    last bit of these sums decides between them, so the affine space keeps
+    the square-root form of the descent here: fitted trees stay identical
+    to those of earlier versions.  ``weighted_frechet_mean`` uses the
+    faster moving-frame form, which agrees to rounding.
+    """
+    ystack = np.asarray(ystack, dtype=float)
+    w = np.ones(len(ystack))
+    if space.kind != SPD_AFFINE:
+        return frechet_objective(space, ystack, w,
+                                 weighted_frechet_mean(space, ystack, w))
+    wn = w / w.sum()
+    dist2 = _affine_sqrt_descent(ystack, wn, _logchol_start(space, ystack, wn))
+    return float(w @ dist2)
+
+
 _MAX_ITER = 200
 _OBJ_TOL = 1e-10
 
@@ -465,15 +486,63 @@ def _sphere_step(base: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
-def _affine_mean(space: MetricSpace, ystack: np.ndarray, wn: np.ndarray):
+def _logchol_start(space: MetricSpace, ystack: np.ndarray, wn: np.ndarray):
     logchol = MetricSpace(SPD_LOGCHOLESKY, space.dim)
-    y = unembed(logchol, wn @ embed(logchol, ystack))
+    return unembed(logchol, wn @ embed(logchol, ystack))
+
+
+def _affine_mean(space: MetricSpace, ystack: np.ndarray, wn: np.ndarray):
+    y = _logchol_start(space, ystack, wn)
     best = None
     for start in [y] + _signed_starts(ystack, wn):
         cand = _affine_descent(ystack, wn, start)
         if best is None or cand[1]["objective"] < best[1]["objective"]:
             best = cand
     return best
+
+
+def _affine_sqrt_descent(ystack: np.ndarray, wn: np.ndarray,
+                         y: np.ndarray) -> np.ndarray:
+    """Unsigned affine descent in square-root form, as in earlier versions.
+
+    Takes the same steps as ``_affine_descent``, moving the iterate to
+    ``y^1/2 exp(t V) y^1/2`` with ``V`` the gradient whitened by ``y^-1/2``,
+    and returns the squared distances from the objects to the final
+    iterate, bit for bit those of ``dist2_to_point``.
+    """
+    def obj_and_logs(p):
+        sq, isq = _sqrt_and_invsqrt(p)
+        mids = np.einsum("ij,njk,kl->nil", isq, ystack, isq)
+        mids = (mids + np.swapaxes(mids, 1, 2)) / 2.0
+        vals, vecs = np.linalg.eigh(mids)
+        logs = np.einsum("...ij,...j,...kj->...ik", vecs, np.log(vals), vecs)
+        dist2 = np.sum(np.log(np.maximum(np.linalg.eigvalsh(mids), 1e-300))
+                       ** 2, axis=1)
+        return float(wn @ dist2), dist2, logs, sq
+
+    cur, dist2, logs, sq = obj_and_logs(y)
+    step = 1.0
+    for _ in range(_MAX_ITER):
+        v = np.einsum("n,nij->ij", wn, logs)
+        if np.linalg.norm(v) < 1e-14:
+            break
+        accepted = False
+        while step >= 1e-12:
+            cand = sq @ matrix_exp(step * (v + v.T) / 2.0) @ sq
+            cand_obj, cand_dist2, cand_logs, cand_sq = obj_and_logs(
+                (cand + cand.T) / 2.0)
+            if cand_obj < cur:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        improvement = cur - cand_obj
+        cur, dist2, logs, sq = cand_obj, cand_dist2, cand_logs, cand_sq
+        step = min(1.0, 2.0 * step)
+        if improvement < _OBJ_TOL:
+            break
+    return dist2
 
 
 def _whitened_obj_and_logs(Z: np.ndarray, wn: np.ndarray):

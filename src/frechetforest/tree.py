@@ -214,10 +214,8 @@ class _MetricResponses:
         key = idx.tobytes()
         ss = self._ss.get(key)
         if ss is None:
-            _, info = spaces.weighted_frechet_mean(
-                self.space, self.ystack[idx], np.ones(len(idx)),
-                return_info=True)
-            ss = self._ss[key] = len(idx) * info["objective"]
+            ss = self._ss[key] = spaces.sum_sq_to_mean(self.space,
+                                                       self.ystack[idx])
         return ss
 
     def threshold_candidates(self, samples: np.ndarray, values: np.ndarray,
@@ -237,13 +235,9 @@ def _responses_for(space: MetricSpace, ystack: np.ndarray):
 
 
 def _gain(resp, samples: np.ndarray, mask: np.ndarray, total_ss: float) -> float:
-    """Frechet-variance reduction of splitting ``samples`` by ``mask``.
-
-    The children's sums are added first, so a partition and its mirror
-    image (children swapped) score exactly the same gain.
-    """
-    return (total_ss - (resp.node_ss(samples[mask])
-                        + resp.node_ss(samples[~mask]))) / len(samples)
+    """Frechet-variance reduction of splitting ``samples`` by ``mask``."""
+    return (total_ss - resp.node_ss(samples[mask])
+            - resp.node_ss(samples[~mask])) / len(samples)
 
 
 def split_gain_exhaustive(samples: np.ndarray, feature: int, threshold: float,

@@ -1,9 +1,10 @@
 """Seeded property loops for the curved-space fast paths.
 
 Covers the support-only mean solve, the moving-frame affine descent
-(checked against the square-root descent it replaced), the per-index-set
-``node_ss`` memo of the curved-space split engine and the per-leaf mean
-cache behind ``predict_frf``.
+(checked against the square-root descent of earlier versions), the split
+sums of ``sum_sq_to_mean`` (bit for bit those of earlier versions), the
+per-index-set ``node_ss`` memo of the curved-space split engine and the
+per-leaf mean cache behind ``predict_frf``.
 """
 
 import json
@@ -65,9 +66,9 @@ def test_zero_weight_objects_leave_mean_unchanged(space, signed):
         assert np.max(np.abs(a - b)) <= 1e-12
 
 
-# The square-root descent the moving-frame descent replaced, kept as a
-# reference: every step re-whitens the stack with the iterate's inverse
-# square root and moves along ``y^1/2 exp(t V) y^1/2``.
+# The square-root descent of earlier versions, kept as a reference: every
+# step re-whitens the stack with the iterate's inverse square root and moves
+# along ``y^1/2 exp(t V) y^1/2``.
 
 
 def _sqrt_invsqrt(y):
@@ -142,6 +143,23 @@ def test_mean_objective_beats_data_points_and_reference(space, signed):
             assert np.max(np.abs(mean - ref)) <= 1e-5
 
 
+@pytest.mark.parametrize("space", CURVED, ids=lambda s: f"{s.kind}{s.dim}")
+def test_split_sums_match_earlier_versions_bit_for_bit(space):
+    # mirrored partitions tie up to rounding, so fitted trees depend on the
+    # last bit of these sums: they must be the old mean solve's objective
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        n = int(rng.integers(2, 30))
+        ys = _objects(space, n, rng)
+        w = np.ones(n)
+        if space.kind == spaces.SPD_AFFINE:
+            mean = _reference_affine_mean(space, ys, w)
+        else:
+            mean = weighted_frechet_mean(space, ys, w)
+        assert spaces.sum_sq_to_mean(space, ys) == \
+            frechet_objective(space, ys, w, mean)
+
+
 class _FreshResponses(tree._MetricResponses):
     """The curved-space engine with its memo emptied before every solve."""
 
@@ -161,13 +179,13 @@ def test_memoised_node_ss_grows_identical_trees(monkeypatch, space,
     Y = _objects(space, n, rng)
     cfg = TreeConfig(max_depth=4, min_leaf=3, split_method=split_method)
     solves = []
-    original = spaces.weighted_frechet_mean
+    original = spaces.sum_sq_to_mean
 
     def counting(*args, **kwargs):
         solves.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(spaces, "weighted_frechet_mean", counting)
+    monkeypatch.setattr(spaces, "sum_sq_to_mean", counting)
     for seed in range(3):
         sub = np.sort(np.random.default_rng(seed).integers(0, n, size=n))
         cfg_s = replace(cfg, seed=seed)
@@ -201,5 +219,6 @@ def test_cached_frf_equals_per_tree_predictions(space):
             expected = weighted_frechet_mean(space, per_tree,
                                              np.ones(len(per_tree)))
             assert np.array_equal(regressors.predict_frf(model, x), expected)
-    reached = {id(tree.leaf_for(t, x)) for t in model.trees for x in queries}
+    reached = {tree.leaf_for(t, x).tobytes()
+               for t in model.trees for x in queries}
     assert len(model.leaf_mean_cache) == len(reached)

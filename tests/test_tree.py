@@ -211,28 +211,6 @@ def test_identical_partitions_break_toward_lower_feature():
             samples, [0, 1], X, Y, space, cfg)
 
 
-@pytest.mark.parametrize("space", [wasserstein_space(4), sphere_space(3),
-                                   spaces.spd_space(2, "affine")],
-                         ids=lambda s: s.kind)
-@pytest.mark.parametrize("split_method", ["exhaustive", "two_means"])
-def test_mirrored_partitions_break_toward_lower_feature(space, split_method):
-    # feature 1 reverses the order of feature 0, so each split on one feature
-    # has a mirror image on the other with the children swapped: their gains
-    # tie exactly and the lower feature must win
-    rng = np.random.default_rng(15)
-    for trial in range(15):
-        n = 12
-        x0 = rng.uniform(size=n)
-        X = np.column_stack([x0, 1.0 - x0])
-        Y = _random_responses(space, n, rng) if space.kind != spaces.SPHERE \
-            else rng.normal(size=(n, 3))
-        if space.kind == spaces.SPHERE:
-            Y /= np.linalg.norm(Y, axis=1, keepdims=True)
-        cfg = TreeConfig(min_leaf=1, split_method=split_method)
-        rule = best_split(np.arange(n), [0, 1], X, Y, space, cfg)
-        assert rule.feature == 0, trial
-
-
 def test_curved_space_split_matches_per_threshold_reference():
     rng = np.random.default_rng(13)
     space = sphere_space(3)
