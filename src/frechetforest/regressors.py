@@ -17,8 +17,7 @@ Baselines (need only the training data):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -229,10 +228,14 @@ def scalar_local_linear_weights(X1: np.ndarray, x: float,
 # cross-validation tuning
 
 
-def _mse_against(space: MetricSpace, preds: np.ndarray,
-                 targets: np.ndarray) -> float:
-    return float(np.mean([spaces.distance(space, a, b) ** 2
-                          for a, b in zip(preds, targets)]))
+def evaluate_mse(predictions: np.ndarray, truths: np.ndarray,
+                 space: MetricSpace) -> float:
+    """Mean squared distance between predictions and targets."""
+    if len(predictions) != len(truths):
+        raise ValueError("predictions and truths have different lengths")
+    d2 = [spaces.distance(space, a, b) ** 2
+          for a, b in zip(predictions, truths)]
+    return float(np.mean(d2))
 
 
 def default_mtry_grid(p: int) -> list:
@@ -247,29 +250,55 @@ def _kfold_indices(n: int, folds: int, seed: int):
     return [np.sort(part) for part in np.array_split(perm, folds)]
 
 
-def _fit_for_cell(X, Y, space, kind, cell, seed, num_trees, base_tree):
-    if kind in FOREST_KINDS:
-        tcfg = TreeConfig(max_depth=cell["max_depth"],
-                          min_leaf=base_tree.min_leaf,
-                          mtry=cell.get("mtry", base_tree.mtry),
-                          split_method=base_tree.split_method,
-                          honest=base_tree.honest)
-        fcfg = ForestConfig(num_trees=num_trees, tree=tcfg, master_seed=seed)
-        return fit_forest(X, Y, space, fcfg)
-    if kind == "gfr":
-        return fit_gfr(X, Y, space)
-    return None  # kernel kinds carry no fitted state
+def cv_errors(X: np.ndarray, Y: np.ndarray, space: MetricSpace, kinds,
+              grid: list, folds: int, seed: int, num_trees: int,
+              base_tree: TreeConfig) -> dict:
+    """Held-out Frechet MSE of each kind on each grid cell and fold.
 
-
-def _predict_with(X, Y, space, kind, cell, fitted, X_query):
-    if kind in FOREST_KINDS:
-        return predict_forest_batch(fitted, X_query, kind)
-    if kind == "gfr":
-        return np.stack([predict_gfr(fitted, x) for x in X_query])
-    fn = predict_nw if kind == "nw" else predict_lfr_kernel
-    return np.stack([fn(X, Y, space, x, cell["bandwidth"],
-                        cell.get("kernel", "epanechnikov"))
-                     for x in X_query])
+    ``kinds`` share one cell family: forest kinds (cells ``{"max_depth",
+    "mtry"}``, one forest per cell and fold, seeded ``seed + fold``, shared
+    by all of them), ``gfr`` (cells ``{}``) or kernel kinds (cells
+    ``{"bandwidth", "kernel"}``).  Returns ``{kind: array (cells, folds)}``;
+    a fit or prediction that raises ``ValueError`` or ``LinAlgError``
+    scores infinity.
+    """
+    n = len(X)
+    parts = _kfold_indices(n, folds, seed)
+    errors = {k: np.empty((len(grid), folds)) for k in kinds}
+    for ci, cell in enumerate(grid):
+        for f, test_idx in enumerate(parts):
+            train_idx = np.setdiff1d(np.arange(n), test_idx)
+            Xtr, Ytr, Xte = X[train_idx], Y[train_idx], X[test_idx]
+            try:
+                if kinds[0] in FOREST_KINDS:
+                    tcfg = replace(base_tree, max_depth=cell["max_depth"],
+                                   mtry=cell.get("mtry", base_tree.mtry))
+                    fitted = fit_forest(Xtr, Ytr, space,
+                                        ForestConfig(num_trees=num_trees,
+                                                     tree=tcfg,
+                                                     master_seed=seed + f))
+                elif kinds[0] == "gfr":
+                    fitted = fit_gfr(Xtr, Ytr, space)
+            except (ValueError, np.linalg.LinAlgError):
+                for k in kinds:
+                    errors[k][ci, f] = math.inf
+                continue
+            for k in kinds:
+                try:
+                    if k in FOREST_KINDS:
+                        preds = predict_forest_batch(fitted, Xte, k)
+                    elif k == "gfr":
+                        preds = np.stack([predict_gfr(fitted, x) for x in Xte])
+                    else:
+                        fn = predict_nw if k == "nw" else predict_lfr_kernel
+                        preds = np.stack([
+                            fn(Xtr, Ytr, space, x, cell["bandwidth"],
+                               cell.get("kernel", "epanechnikov"))
+                            for x in Xte])
+                    errors[k][ci, f] = evaluate_mse(preds, Y[test_idx], space)
+                except (ValueError, np.linalg.LinAlgError):
+                    errors[k][ci, f] = math.inf
+    return errors
 
 
 def tune_cv(X: np.ndarray, Y: np.ndarray, space: MetricSpace, kind: str,
@@ -286,32 +315,14 @@ def tune_cv(X: np.ndarray, Y: np.ndarray, space: MetricSpace, kind: str,
         raise ValueError("need at least 2 folds")
     if not grid:
         raise ValueError("empty tuning grid")
-    if base_tree is None:
-        base_tree = TreeConfig()
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    n = len(X)
-    parts = _kfold_indices(n, folds, seed)
-    table = []
-    for cell in grid:
-        errors = []
-        for f, test_idx in enumerate(parts):
-            train_idx = np.setdiff1d(np.arange(n), test_idx)
-            try:
-                fitted = _fit_for_cell(X[train_idx], Y[train_idx], space,
-                                       kind, cell, seed + f, num_trees,
-                                       base_tree)
-                preds = _predict_with(X[train_idx], Y[train_idx], space,
-                                      kind, cell, fitted, X[test_idx])
-                errors.append(_mse_against(space, preds, Y[test_idx]))
-            except (ValueError, np.linalg.LinAlgError):
-                errors.append(math.inf)
-        errors = np.asarray(errors)
-        table.append({"cell": cell,
-                      "mean_error": float(np.mean(errors)),
-                      "sd_error": float(np.std(errors, ddof=1))
-                      if len(errors) > 1 and np.all(np.isfinite(errors))
-                      else math.nan})
+    errors = cv_errors(np.asarray(X, dtype=float), np.asarray(Y, dtype=float),
+                       space, [kind], grid, folds, seed, num_trees,
+                       base_tree or TreeConfig())[kind]
+    table = [{"cell": cell,
+              "mean_error": float(np.mean(row)),
+              "sd_error": float(np.std(row, ddof=1))
+              if len(row) > 1 and np.all(np.isfinite(row)) else math.nan}
+             for cell, row in zip(grid, errors)]
     means = [row["mean_error"] for row in table]
     best = int(np.argmin(means))  # argmin keeps the first (lowest) index on ties
     return grid[best], table

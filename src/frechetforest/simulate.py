@@ -26,10 +26,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import regressors, spaces
+from . import regressors
 from . import tree as tree_mod
 from .forest import ForestConfig, fit_forest
-from .regressors import FOREST_KINDS
+from .regressors import FOREST_KINDS, evaluate_mse
 from .spaces import (MetricSpace, matrix_exp, sphere_exp, spd_space,
                      sphere_space, wasserstein_space)
 from .tree import TreeConfig
@@ -273,16 +273,6 @@ def generate(setting: SimSetting, rng: np.random.Generator) -> Dataset:
 # evaluation
 
 
-def evaluate_mse(predictions: np.ndarray, truths: np.ndarray,
-                 space: MetricSpace) -> float:
-    """Mean squared distance between predictions and targets."""
-    if len(predictions) != len(truths):
-        raise ValueError("predictions and truths have different lengths")
-    d2 = [spaces.distance(space, a, b) ** 2
-          for a, b in zip(predictions, truths)]
-    return float(np.mean(d2))
-
-
 @dataclass(frozen=True)
 class MonteCarloConfig:
     runs: int = 20
@@ -311,35 +301,6 @@ def _forest_cells(setting: SimSetting, cfg: MonteCarloConfig) -> list:
     return [{"max_depth": d, "mtry": m} for d, m in product(depths, mtrys)]
 
 
-def _tune_forests(train: Dataset, kinds, cells, cfg: MonteCarloConfig,
-                  seed: int) -> dict:
-    """Shared-forest CV: one fitted forest per (cell, fold), all kinds scored."""
-    if len(cells) == 1:
-        return {k: cells[0] for k in kinds}
-    n = len(train.X)
-    parts = regressors._kfold_indices(n, cfg.folds, seed)
-    errors = {k: np.zeros(len(cells)) for k in kinds}
-    for ci, cell in enumerate(cells):
-        for f, test_idx in enumerate(parts):
-            tr = np.setdiff1d(np.arange(n), test_idx)
-            tcfg = TreeConfig(max_depth=cell["max_depth"],
-                              min_leaf=cfg.min_leaf, mtry=cell["mtry"],
-                              split_method=cfg.split_method,
-                              honest=cfg.honest)
-            model = fit_forest(train.X[tr], train.Y[tr], train.space,
-                               ForestConfig(num_trees=cfg.cv_trees, tree=tcfg,
-                                            master_seed=seed + f))
-            for k in kinds:
-                try:
-                    preds = regressors.predict_forest_batch(
-                        model, train.X[test_idx], k)
-                    err = evaluate_mse(preds, train.Y[test_idx], train.space)
-                except (ValueError, np.linalg.LinAlgError):
-                    err = math.inf
-                errors[k][ci] += err / cfg.folds
-    return {k: cells[int(np.argmin(errors[k]))] for k in kinds}
-
-
 def run_once(setting: SimSetting, estimators, cfg: MonteCarloConfig,
              seed: int, run_index: int) -> dict:
     """One Monte-Carlo repetition: generate, tune, fit, score."""
@@ -350,16 +311,24 @@ def run_once(setting: SimSetting, estimators, cfg: MonteCarloConfig,
     out = {}
     forest_kinds = [e for e in estimators if e in FOREST_KINDS]
     if forest_kinds:
+        base = TreeConfig(min_leaf=cfg.min_leaf,
+                          split_method=cfg.split_method, honest=cfg.honest)
         cells = _forest_cells(setting, cfg)
-        best = _tune_forests(train, forest_kinds, cells, cfg,
-                             seed=seed * 1000003 + run_index)
+        best = {k: cells[0] for k in forest_kinds}
+        if len(cells) > 1:
+            errors = regressors.cv_errors(
+                train.X, train.Y, train.space, forest_kinds, cells,
+                cfg.folds, seed * 1000003 + run_index, cfg.cv_trees, base)
+            for k in forest_kinds:
+                score = np.zeros(len(cells))
+                for f in range(cfg.folds):  # fold by fold, in this order
+                    score += errors[k][:, f] / cfg.folds
+                best[k] = cells[int(np.argmin(score))]
         models = {}
         for k in forest_kinds:
             key = (best[k]["max_depth"], best[k]["mtry"])
             if key not in models:
-                tcfg = TreeConfig(max_depth=key[0], min_leaf=cfg.min_leaf,
-                                  mtry=key[1], split_method=cfg.split_method,
-                                  honest=cfg.honest)
+                tcfg = replace(base, max_depth=key[0], mtry=key[1])
                 models[key] = fit_forest(
                     train.X, train.Y, train.space,
                     ForestConfig(num_trees=cfg.num_trees, tree=tcfg,

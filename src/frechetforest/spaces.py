@@ -386,9 +386,11 @@ def weighted_frechet_mean(space: MetricSpace, ystack: np.ndarray,
     elif space.kind == SPD_LOGCHOLESKY:
         out = unembed(space, wn @ embed(space, ystack))
     elif space.kind == SPHERE:
-        out, info = _sphere_mean(ystack, wn)
+        out, info = _curved_mean(_sphere_solve, ystack, wn,
+                                 _sphere_start(ystack, wn))
     else:
-        out, info = _affine_mean(space, ystack, wn)
+        out, info = _curved_mean(_affine_solve, ystack, wn,
+                                 _logchol_start(space, ystack, wn))
     if return_info:
         return out, info
     return out
@@ -410,15 +412,52 @@ def sum_sq_to_mean(space: MetricSpace, ystack: np.ndarray) -> float:
         return frechet_objective(space, ystack, w,
                                  weighted_frechet_mean(space, ystack, w))
     wn = w / w.sum()
-    dist2 = _affine_sqrt_descent(ystack, wn, _logchol_start(space, ystack, wn))
+    dist2 = _affine_sqrt_dist2(ystack, wn, _logchol_start(space, ystack, wn))
     return float(w @ dist2)
 
 
 _MAX_ITER = 200
 _OBJ_TOL = 1e-10
-
-
 _MULTISTART_CAP = 8
+
+
+def _descend(gradient, line, state, cur: float):
+    """Riemannian descent with step halving, shared by every curved solve.
+
+    A geometry supplies the start ``state`` with its objective ``cur``,
+    ``gradient(state)``, and ``line(state, v)``, which returns the
+    candidate ``step -> (objective, state)`` along the negative gradient
+    ``v``.  The solve converges at a gradient norm below 1e-14; otherwise a
+    step is halved until the objective drops (down to a floor of 1e-12,
+    below which the solve stops), and the next iteration starts from twice
+    the accepted step, capped at 1.  It also stops when an accepted step
+    improves by less than ``_OBJ_TOL``, and unconverged after ``_MAX_ITER``
+    iterations.  Returns the final state and the solver info.
+    """
+    step = 1.0
+    converged = False
+    it = 0
+    for it in range(1, _MAX_ITER + 1):
+        v = gradient(state)
+        if np.linalg.norm(v) < 1e-14:
+            converged = True
+            break
+        candidate = line(state, v)
+        while step >= 1e-12:
+            cand_obj, cand_state = candidate(step)
+            if cand_obj < cur:
+                break
+            step *= 0.5
+        else:
+            converged = True
+            break
+        improvement = cur - cand_obj
+        state, cur = cand_state, cand_obj
+        step = min(1.0, 2.0 * step)
+        if improvement < _OBJ_TOL:
+            converged = True
+            break
+    return state, {"converged": converged, "iterations": it, "objective": cur}
 
 
 def _signed_starts(ystack: np.ndarray, wn: np.ndarray) -> list:
@@ -429,53 +468,43 @@ def _signed_starts(ystack: np.ndarray, wn: np.ndarray) -> list:
     return [ystack[i] for i in order]
 
 
-def _sphere_mean(ystack: np.ndarray, wn: np.ndarray):
-    extrinsic = wn @ ystack
-    norm = np.linalg.norm(extrinsic)
-    if norm < 1e-6:
-        y = ystack[int(np.argmax(wn))].copy()
-    else:
-        y = extrinsic / norm
+def _curved_mean(solve, ystack: np.ndarray, wn: np.ndarray, start):
+    """Best of the descents from ``start`` and from the signed starts."""
     best = None
-    for start in [y] + _signed_starts(ystack, wn):
-        cand = _sphere_descent(ystack, wn, start)
+    for s in [start] + _signed_starts(ystack, wn):
+        cand = solve(ystack, wn, s)
         if best is None or cand[1]["objective"] < best[1]["objective"]:
             best = cand
     return best
 
 
-def _sphere_descent(ystack: np.ndarray, wn: np.ndarray, y: np.ndarray):
+# --- sphere: the state is the iterate
+
+
+def _sphere_start(ystack: np.ndarray, wn: np.ndarray) -> np.ndarray:
+    extrinsic = wn @ ystack
+    norm = np.linalg.norm(extrinsic)
+    if norm < 1e-6:
+        return ystack[int(np.argmax(wn))].copy()
+    return extrinsic / norm
+
+
+def _sphere_solve(ystack: np.ndarray, wn: np.ndarray, y: np.ndarray):
     def obj(p):
         return float(wn @ (np.arccos(np.clip(ystack @ p, -1.0, 1.0)) ** 2))
 
-    cur = obj(y)
-    step = 1.0
-    converged = False
-    it = 0
-    for it in range(1, _MAX_ITER + 1):
-        v = wn @ _sphere_logs(y, ystack)
-        v -= (v @ y) * y
-        if np.linalg.norm(v) < 1e-14:
-            converged = True
-            break
-        accepted = False
-        while step >= 1e-12:
-            cand = _sphere_step(y, step * v)
-            cand_obj = obj(cand)
-            if cand_obj < cur:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            converged = True
-            break
-        improvement = cur - cand_obj
-        y, cur = cand, cand_obj
-        step = min(1.0, 2.0 * step)
-        if improvement < _OBJ_TOL:
-            converged = True
-            break
-    return y, {"converged": converged, "iterations": it, "objective": cur}
+    def gradient(p):
+        v = wn @ _sphere_logs(p, ystack)
+        v -= (v @ p) * p
+        return v
+
+    def line(p, v):
+        def candidate(step):
+            cand = _sphere_step(p, step * v)
+            return obj(cand), cand
+        return candidate
+
+    return _descend(gradient, line, y, obj(y))
 
 
 def _sphere_step(base: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -486,63 +515,12 @@ def _sphere_step(base: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
+# --- affine-invariant SPD
+
+
 def _logchol_start(space: MetricSpace, ystack: np.ndarray, wn: np.ndarray):
     logchol = MetricSpace(SPD_LOGCHOLESKY, space.dim)
     return unembed(logchol, wn @ embed(logchol, ystack))
-
-
-def _affine_mean(space: MetricSpace, ystack: np.ndarray, wn: np.ndarray):
-    y = _logchol_start(space, ystack, wn)
-    best = None
-    for start in [y] + _signed_starts(ystack, wn):
-        cand = _affine_descent(ystack, wn, start)
-        if best is None or cand[1]["objective"] < best[1]["objective"]:
-            best = cand
-    return best
-
-
-def _affine_sqrt_descent(ystack: np.ndarray, wn: np.ndarray,
-                         y: np.ndarray) -> np.ndarray:
-    """Unsigned affine descent in square-root form, as in earlier versions.
-
-    Takes the same steps as ``_affine_descent``, moving the iterate to
-    ``y^1/2 exp(t V) y^1/2`` with ``V`` the gradient whitened by ``y^-1/2``,
-    and returns the squared distances from the objects to the final
-    iterate, bit for bit those of ``dist2_to_point``.
-    """
-    def obj_and_logs(p):
-        sq, isq = _sqrt_and_invsqrt(p)
-        mids = np.einsum("ij,njk,kl->nil", isq, ystack, isq)
-        mids = (mids + np.swapaxes(mids, 1, 2)) / 2.0
-        vals, vecs = np.linalg.eigh(mids)
-        logs = np.einsum("...ij,...j,...kj->...ik", vecs, np.log(vals), vecs)
-        dist2 = np.sum(np.log(np.maximum(np.linalg.eigvalsh(mids), 1e-300))
-                       ** 2, axis=1)
-        return float(wn @ dist2), dist2, logs, sq
-
-    cur, dist2, logs, sq = obj_and_logs(y)
-    step = 1.0
-    for _ in range(_MAX_ITER):
-        v = np.einsum("n,nij->ij", wn, logs)
-        if np.linalg.norm(v) < 1e-14:
-            break
-        accepted = False
-        while step >= 1e-12:
-            cand = sq @ matrix_exp(step * (v + v.T) / 2.0) @ sq
-            cand_obj, cand_dist2, cand_logs, cand_sq = obj_and_logs(
-                (cand + cand.T) / 2.0)
-            if cand_obj < cur:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        improvement = cur - cand_obj
-        cur, dist2, logs, sq = cand_obj, cand_dist2, cand_logs, cand_sq
-        step = min(1.0, 2.0 * step)
-        if improvement < _OBJ_TOL:
-            break
-    return dist2
 
 
 def _whitened_obj_and_logs(Z: np.ndarray, wn: np.ndarray):
@@ -553,53 +531,76 @@ def _whitened_obj_and_logs(Z: np.ndarray, wn: np.ndarray):
     return float(wn @ np.sum(lv ** 2, axis=1)), logs
 
 
-def _affine_descent(ystack: np.ndarray, wn: np.ndarray, y: np.ndarray):
-    """Step-halving descent on the affine-invariant objective.
+def _affine_solve(ystack: np.ndarray, wn: np.ndarray, y: np.ndarray):
+    """Affine-invariant descent in a moving frame.
 
-    The iterate is kept as a frame ``G`` with ``y = G G^T``, and the stack
-    whitened by it, ``Z_i = G^-1 Y_i G^-T``: the objective is then
-    ``sum_i w_i |log eig(Z_i)|^2`` and the gradient is ``sum_i w_i log Z_i``
-    in that frame.  Each iteration diagonalises the gradient once,
-    ``V = U diag(lam) U^T``, and rotates the stack to ``W_i = U^T Z_i U``;
-    a step of size ``t`` moves the frame to ``G U D`` with
-    ``D = diag(exp(t lam / 2))`` and the stack to ``D^-1 W_i D^-1``, so each
-    step-halving candidate costs one batched ``eigh``.
+    The state is a frame ``G`` with ``y = G G^T``, the stack whitened by
+    it, ``Z_i = G^-1 Y_i G^-T``, and the logs of ``Z_i``: the objective is
+    then ``sum_i w_i |log eig(Z_i)|^2`` and the gradient is
+    ``sum_i w_i log Z_i`` in that frame.  Each iteration diagonalises the
+    gradient once, ``V = U diag(lam) U^T``, and rotates the stack to
+    ``W_i = U^T Z_i U``; a step of size ``t`` moves the frame to ``G U D``
+    with ``D = diag(exp(t lam / 2))`` and the stack to ``D^-1 W_i D^-1``,
+    so each step-halving candidate costs one batched ``eigh``.
     """
+    def gradient(state):
+        return np.einsum("n,nij->ij", wn, state[2])
+
+    def line(state, v):
+        G, Z, _ = state
+        lam, U = np.linalg.eigh((v + v.T) / 2.0)
+        W = U.T @ Z @ U
+        W = (W + np.swapaxes(W, 1, 2)) / 2.0
+        GU = G @ U
+
+        def candidate(step):
+            d = np.exp(step * lam / 2.0)
+            cand = W / np.outer(d, d)
+            cand_obj, cand_logs = _whitened_obj_and_logs(cand, wn)
+            return cand_obj, (GU * d, cand, cand_logs)
+        return candidate
+
     G = np.linalg.cholesky(y)
     Ginv = np.linalg.inv(G)
     Z = Ginv @ ystack @ Ginv.T
     Z = (Z + np.swapaxes(Z, 1, 2)) / 2.0
     cur, logs = _whitened_obj_and_logs(Z, wn)
-    step = 1.0
-    converged = False
-    it = 0
-    for it in range(1, _MAX_ITER + 1):
-        v = np.einsum("n,nij->ij", wn, logs)
-        if np.linalg.norm(v) < 1e-14:
-            converged = True
-            break
-        lam, U = np.linalg.eigh((v + v.T) / 2.0)
-        W = U.T @ Z @ U
-        W = (W + np.swapaxes(W, 1, 2)) / 2.0
-        accepted = False
-        while step >= 1e-12:
-            d = np.exp(step * lam / 2.0)
-            cand = W / np.outer(d, d)
-            cand_obj, cand_logs = _whitened_obj_and_logs(cand, wn)
-            if cand_obj < cur:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            converged = True
-            break
-        improvement = cur - cand_obj
-        G = (G @ U) * d
-        Z, cur, logs = cand, cand_obj, cand_logs
-        step = min(1.0, 2.0 * step)
-        if improvement < _OBJ_TOL:
-            converged = True
-            break
+    (G, _, _), info = _descend(gradient, line, (G, Z, logs), cur)
     y = G @ G.T
-    return (y + y.T) / 2.0, {"converged": converged, "iterations": it,
-                             "objective": cur}
+    return (y + y.T) / 2.0, info
+
+
+def _affine_sqrt_dist2(ystack: np.ndarray, wn: np.ndarray,
+                       y: np.ndarray) -> np.ndarray:
+    """Unsigned affine descent in square-root form, as in earlier versions.
+
+    Takes the same steps as ``_affine_solve``, moving the iterate to
+    ``y^1/2 exp(t V) y^1/2`` with ``V`` the gradient whitened by ``y^-1/2``,
+    and returns the squared distances from the objects to the final
+    iterate, bit for bit those of ``dist2_to_point``.  The state is those
+    distances, the logs of the whitened stack and ``y^1/2``.
+    """
+    def obj_and_state(p):
+        sq, isq = _sqrt_and_invsqrt(p)
+        mids = np.einsum("ij,njk,kl->nil", isq, ystack, isq)
+        mids = (mids + np.swapaxes(mids, 1, 2)) / 2.0
+        vals, vecs = np.linalg.eigh(mids)
+        logs = np.einsum("...ij,...j,...kj->...ik", vecs, np.log(vals), vecs)
+        dist2 = np.sum(np.log(np.maximum(np.linalg.eigvalsh(mids), 1e-300))
+                       ** 2, axis=1)
+        return float(wn @ dist2), (dist2, logs, sq)
+
+    def gradient(state):
+        return np.einsum("n,nij->ij", wn, state[1])
+
+    def line(state, v):
+        sq = state[2]
+
+        def candidate(step):
+            cand = sq @ matrix_exp(step * (v + v.T) / 2.0) @ sq
+            return obj_and_state((cand + cand.T) / 2.0)
+        return candidate
+
+    cur, state = obj_and_state(y)
+    (dist2, _, _), _ = _descend(gradient, line, state, cur)
+    return dist2

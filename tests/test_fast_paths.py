@@ -222,3 +222,165 @@ def test_cached_frf_equals_per_tree_predictions(space):
     reached = {tree.leaf_for(t, x).tobytes()
                for t in model.trees for x in queries}
     assert len(model.leaf_mean_cache) == len(reached)
+
+
+# The sphere and affine solvers as they were before the shared descent,
+# copied as references: separate multi-starts and separate step-halving
+# loops per geometry.
+
+
+def _old_sphere_mean(ystack, wn):
+    extrinsic = wn @ ystack
+    norm = np.linalg.norm(extrinsic)
+    if norm < 1e-6:
+        y = ystack[int(np.argmax(wn))].copy()
+    else:
+        y = extrinsic / norm
+    best = None
+    for start in [y] + spaces._signed_starts(ystack, wn):
+        cand = _old_sphere_descent(ystack, wn, start)
+        if best is None or cand[1]["objective"] < best[1]["objective"]:
+            best = cand
+    return best
+
+
+def _old_sphere_descent(ystack, wn, y):
+    def obj(p):
+        return float(wn @ (np.arccos(np.clip(ystack @ p, -1.0, 1.0)) ** 2))
+
+    cur = obj(y)
+    step = 1.0
+    converged = False
+    it = 0
+    for it in range(1, spaces._MAX_ITER + 1):
+        v = wn @ spaces._sphere_logs(y, ystack)
+        v -= (v @ y) * y
+        if np.linalg.norm(v) < 1e-14:
+            converged = True
+            break
+        accepted = False
+        while step >= 1e-12:
+            cand = spaces._sphere_step(y, step * v)
+            cand_obj = obj(cand)
+            if cand_obj < cur:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            converged = True
+            break
+        improvement = cur - cand_obj
+        y, cur = cand, cand_obj
+        step = min(1.0, 2.0 * step)
+        if improvement < spaces._OBJ_TOL:
+            converged = True
+            break
+    return y, {"converged": converged, "iterations": it, "objective": cur}
+
+
+def _old_affine_mean(space, ystack, wn):
+    logchol = spd_space(space.dim)
+    y = spaces.unembed(logchol, wn @ spaces.embed(logchol, ystack))
+    best = None
+    for start in [y] + spaces._signed_starts(ystack, wn):
+        cand = _old_affine_descent(ystack, wn, start)
+        if best is None or cand[1]["objective"] < best[1]["objective"]:
+            best = cand
+    return best
+
+
+def _old_whitened_obj_and_logs(Z, wn):
+    vals, vecs = np.linalg.eigh(Z)
+    lv = np.log(np.maximum(vals, 1e-300))
+    logs = (vecs * lv[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+    return float(wn @ np.sum(lv ** 2, axis=1)), logs
+
+
+def _old_affine_descent(ystack, wn, y):
+    G = np.linalg.cholesky(y)
+    Ginv = np.linalg.inv(G)
+    Z = Ginv @ ystack @ Ginv.T
+    Z = (Z + np.swapaxes(Z, 1, 2)) / 2.0
+    cur, logs = _old_whitened_obj_and_logs(Z, wn)
+    step = 1.0
+    converged = False
+    it = 0
+    for it in range(1, spaces._MAX_ITER + 1):
+        v = np.einsum("n,nij->ij", wn, logs)
+        if np.linalg.norm(v) < 1e-14:
+            converged = True
+            break
+        lam, U = np.linalg.eigh((v + v.T) / 2.0)
+        W = U.T @ Z @ U
+        W = (W + np.swapaxes(W, 1, 2)) / 2.0
+        accepted = False
+        while step >= 1e-12:
+            d = np.exp(step * lam / 2.0)
+            cand = W / np.outer(d, d)
+            cand_obj, cand_logs = _old_whitened_obj_and_logs(cand, wn)
+            if cand_obj < cur:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            converged = True
+            break
+        improvement = cur - cand_obj
+        G = (G @ U) * d
+        Z, cur, logs = cand, cand_obj, cand_logs
+        step = min(1.0, 2.0 * step)
+        if improvement < spaces._OBJ_TOL:
+            converged = True
+            break
+    y = G @ G.T
+    return (y + y.T) / 2.0, {"converged": converged, "iterations": it,
+                             "objective": cur}
+
+
+@pytest.mark.parametrize("space", CURVED + [sphere_space(4)],
+                         ids=lambda s: f"{s.kind}{s.dim}")
+@pytest.mark.parametrize("signed", [False, True])
+def test_shared_descent_equals_per_geometry_solvers_bit_for_bit(space,
+                                                                signed):
+    rng = np.random.default_rng(61)
+    for _ in range(25):
+        n = int(rng.integers(1, 15))
+        ys = _objects(space, n, rng)
+        w = _weights(n, signed, rng)
+        if w.sum() <= 0:
+            continue
+        wn = w / w.sum()
+        mean, info = weighted_frechet_mean(space, ys, w, return_info=True)
+        if space.kind == spaces.SPHERE:
+            ref, ref_info = _old_sphere_mean(ys, wn)
+        else:
+            ref, ref_info = _old_affine_mean(space, ys, wn)
+        assert np.array_equal(mean, ref)
+        assert info == ref_info
+
+
+def test_forest_cv_fits_one_forest_per_cell_and_fold(monkeypatch):
+    rng = np.random.default_rng(17)
+    n, folds = 36, 3
+    X = rng.uniform(size=(n, 2))
+    space = wasserstein_space(5)
+    Y = np.sort(X[:, :1] + 0.2 * rng.normal(size=(n, 5)), axis=1)
+    grid = [{"max_depth": d, "mtry": m} for d in (2, 4) for m in (1, 2)]
+    base = TreeConfig(min_leaf=3)
+    fits = []
+    original = regressors.fit_forest
+
+    def counting(*args, **kwargs):
+        fits.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(regressors, "fit_forest", counting)
+    errors = regressors.cv_errors(X, Y, space, list(regressors.FOREST_KINDS),
+                                  grid, folds, 5, 4, base)
+    assert len(fits) == len(grid) * folds
+    for kind in regressors.FOREST_KINDS:
+        assert errors[kind].shape == (len(grid), folds)
+        _, table = regressors.tune_cv(X, Y, space, kind, grid, folds=folds,
+                                      seed=5, num_trees=4, base_tree=base)
+        assert [row["mean_error"] for row in table] == \
+            [float(np.mean(row)) for row in errors[kind]]
