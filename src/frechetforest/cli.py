@@ -25,14 +25,6 @@ from . import tree as tree_mod
 from .forest import ForestConfig, kernel_weights
 from .tree import TreeConfig
 
-_SPACE_KINDS = {
-    "wasserstein": spaces.WASSERSTEIN,
-    "spd_logcholesky": spaces.SPD_LOGCHOLESKY,
-    "spd_affine": spaces.SPD_AFFINE,
-    "sphere": spaces.SPHERE,
-}
-
-
 class CliError(Exception):
     """User-facing failure; rendered as an error JSON and nonzero exit."""
 
@@ -155,13 +147,12 @@ def save_dataset(dataset: simulate.Dataset, out_dir: str) -> None:
 def _space_from_args(args) -> spaces.MetricSpace:
     if args.space is None:
         raise CliError("--space is required")
-    kind = _SPACE_KINDS.get(args.space)
-    if kind is None:
+    if args.space not in spaces.KINDS:
         raise CliError(f"unknown space {args.space!r}",
-                       choices=sorted(_SPACE_KINDS))
+                       choices=sorted(spaces.KINDS))
     if args.dim is None:
         raise CliError("--dim is required")
-    return spaces.MetricSpace(kind, int(args.dim), args.normalization)
+    return spaces.MetricSpace(args.space, int(args.dim), args.normalization)
 
 
 def _config_defaults(args) -> dict:
@@ -218,16 +209,32 @@ def cmd_fit(args) -> None:
     atomic_write(args.out, json.dumps(doc) + "\n")
 
 
-def _load_model(doc):
-    """The fitted model of a model document: a GFR or a forest model."""
-    kind = doc["estimator"]
-    if kind == "gfr":
-        space = spaces.MetricSpace.from_dict(doc["space"])
-        Y = rows_to_objects(np.asarray(doc["Y"]), space)
-        return regressors.fit_gfr(np.asarray(doc["X"]), Y, space)
-    if kind not in regressors.FOREST_KINDS:
-        raise CliError(f"unknown estimator {kind!r} in model file")
-    return forest_mod.model_from_dict(doc["model"])
+def _load_model(path):
+    """The estimator kind and fitted model (GFR or forest) of a model file."""
+    if not os.path.exists(path):
+        raise CliError(f"model file not found: {path}")
+    with open(path) as handle:
+        try:
+            doc = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"model file {path} is not JSON: {exc}", path=path)
+    if not isinstance(doc, dict):
+        raise CliError(f"model file {path} is not a JSON object", path=path)
+    try:
+        kind = doc["estimator"]
+        if kind == "gfr":
+            space = spaces.MetricSpace.from_dict(doc["space"])
+            Y = rows_to_objects(np.asarray(doc["Y"]), space)
+            return kind, regressors.fit_gfr(np.asarray(doc["X"]), Y, space)
+        if kind not in regressors.FOREST_KINDS:
+            raise CliError(f"unknown estimator {kind!r} in model file",
+                           path=path)
+        return kind, forest_mod.model_from_dict(doc["model"])
+    except KeyError as exc:
+        raise CliError(f"model file {path} lacks field {exc.args[0]!r}",
+                       path=path, field=exc.args[0])
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise CliError(f"malformed model file {path}: {exc}", path=path)
 
 
 def _predict_one(kind, model, x):
@@ -249,12 +256,7 @@ def _predict_one(kind, model, x):
 
 
 def cmd_predict(args) -> None:
-    if not os.path.exists(args.model):
-        raise CliError(f"model file not found: {args.model}")
-    with open(args.model) as handle:
-        doc = json.load(handle)
-    kind = doc["estimator"]
-    model = _load_model(doc)
+    kind, model = _load_model(args.model)
     X = _parse_csv_matrix(args.x, args.header)
     p = X.shape[1]
     if p != model.X.shape[1]:
@@ -368,7 +370,7 @@ def _add_common(sub):
 
 
 def _add_space(sub):
-    sub.add_argument("--space", choices=sorted(_SPACE_KINDS), default=None)
+    sub.add_argument("--space", choices=sorted(spaces.KINDS), default=None)
     sub.add_argument("--dim", type=int, default=None)
     sub.add_argument("--normalization", default="riemann",
                      choices=("riemann", "euclidean"))

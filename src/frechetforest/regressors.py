@@ -279,6 +279,8 @@ def cv_errors(X: np.ndarray, Y: np.ndarray, space: MetricSpace, kinds,
                                                      master_seed=seed + f))
                 elif kinds[0] == "gfr":
                     fitted = fit_gfr(Xtr, Ytr, space)
+                else:
+                    fitted = None  # kernel kinds carry no fitted state
             except (ValueError, np.linalg.LinAlgError):
                 for k in kinds:
                     errors[k][ci, f] = math.inf

@@ -321,7 +321,8 @@ def run_once(setting: SimSetting, estimators, cfg: MonteCarloConfig,
                 cfg.folds, seed * 1000003 + run_index, cfg.cv_trees, base)
             for k in forest_kinds:
                 score = np.zeros(len(cells))
-                for f in range(cfg.folds):  # fold by fold, in this order
+                # summed fold by fold: rounding can decide near-ties
+                for f in range(cfg.folds):
                     score += errors[k][:, f] / cfg.folds
                 best[k] = cells[int(np.argmin(score))]
         models = {}

@@ -254,7 +254,10 @@ def distance(space: MetricSpace, a: np.ndarray, b: np.ndarray) -> float:
     if space.kind == WASSERSTEIN:
         return float(np.sqrt(_wasserstein_scale(space) * np.sum((a - b) ** 2)))
     if space.kind == SPHERE:
-        return float(np.arccos(np.clip(a @ b, -1.0, 1.0)))
+        # half-angle form: exact for nearby points, where arccos of the dot
+        # product cannot resolve angles below about 1.5e-8
+        return float(2.0 * np.arctan2(np.linalg.norm(a - b),
+                                      np.linalg.norm(a + b)))
     if space.kind == SPD_LOGCHOLESKY:
         ea = _logchol_embed_one(a)
         eb = _logchol_embed_one(b)
@@ -274,6 +277,7 @@ def dist2_to_point(space: MetricSpace, ystack: np.ndarray, y: np.ndarray) -> np.
     if space.kind == WASSERSTEIN:
         return _wasserstein_scale(space) * np.sum((ystack - y) ** 2, axis=1)
     if space.kind == SPHERE:
+        # not the arctan2 form: last bits of split sums decide mirrored ties
         return np.arccos(np.clip(ystack @ y, -1.0, 1.0)) ** 2
     if space.kind == SPD_LOGCHOLESKY:
         e = embed(space, ystack)
@@ -491,6 +495,7 @@ def _sphere_start(ystack: np.ndarray, wn: np.ndarray) -> np.ndarray:
 
 def _sphere_solve(ystack: np.ndarray, wn: np.ndarray, y: np.ndarray):
     def obj(p):
+        # not the arctan2 form: last bits of split sums decide mirrored ties
         return float(wn @ (np.arccos(np.clip(ystack @ p, -1.0, 1.0)) ** 2))
 
     def gradient(p):
@@ -500,19 +505,11 @@ def _sphere_solve(ystack: np.ndarray, wn: np.ndarray, y: np.ndarray):
 
     def line(p, v):
         def candidate(step):
-            cand = _sphere_step(p, step * v)
+            cand = sphere_exp(p, step * v)
             return obj(cand), cand
         return candidate
 
     return _descend(gradient, line, y, obj(y))
-
-
-def _sphere_step(base: np.ndarray, v: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(v)
-    if norm < 1e-15:
-        return base
-    out = np.cos(norm) * base + np.sin(norm) * v / norm
-    return out / np.linalg.norm(out)
 
 
 # --- affine-invariant SPD

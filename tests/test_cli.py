@@ -204,6 +204,31 @@ def test_nonfinite_csv_value_names_line(tmp_path):
                      wasserstein_space(1))
 
 
+@pytest.mark.parametrize("text, field", [
+    ("{}", "estimator"),
+    ("[1, 2]", None),
+    ('{"estimator": "rfwlcfr"}', "model"),
+    ('{"estimator": "gfr"}', "space"),
+    ('{"estimator": "frf", "model": []}', None),
+    ("not json", None),
+])
+def test_predict_rejects_malformed_model_file(tmp_path, capsys, text, field):
+    model = tmp_path / "model.json"
+    model.write_text(text)
+    _write_csv(tmp_path / "q.csv", [[0.1, 0.2]])
+    rc = cli.main(["predict", "--model", str(model),
+                   "--x", str(tmp_path / "q.csv"),
+                   "--out", str(tmp_path / "p.csv")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["command"] == "predict"
+    assert err["path"] == str(model)
+    assert err.get("field") == field
+    assert "model file" in err["error"]
+    for leaked in ("KeyError", "TypeError", "JSONDecodeError"):
+        assert leaked not in err["error"]
+
+
 def test_predict_rejects_nonfinite_query(tmp_path, capsys):
     model = _fit_small_model(tmp_path)
     _write_csv(tmp_path / "q.csv", [[0.1, 0.2], [0.3, float("nan")]])

@@ -260,7 +260,7 @@ def _old_sphere_descent(ystack, wn, y):
             break
         accepted = False
         while step >= 1e-12:
-            cand = spaces._sphere_step(y, step * v)
+            cand = _old_sphere_step(y, step * v)
             cand_obj = obj(cand)
             if cand_obj < cur:
                 accepted = True
@@ -276,6 +276,14 @@ def _old_sphere_descent(ystack, wn, y):
             converged = True
             break
     return y, {"converged": converged, "iterations": it, "objective": cur}
+
+
+def _old_sphere_step(base, v):
+    norm = np.linalg.norm(v)
+    if norm < 1e-15:
+        return base
+    out = np.cos(norm) * base + np.sin(norm) * v / norm
+    return out / np.linalg.norm(out)
 
 
 def _old_affine_mean(space, ystack, wn):

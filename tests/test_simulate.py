@@ -171,3 +171,23 @@ def test_monte_carlo_parallel_matches_serial():
                            n_jobs=4)
     assert serial.rows == parallel.rows
     assert serial.summary == parallel.summary
+
+
+def test_failing_cv_fit_scores_inf_instead_of_failing_the_run(monkeypatch):
+    from frechetforest import regressors
+    original = regressors.fit_forest
+
+    def fit_or_raise(X, Y, space, config):
+        # only the CV forests (cv_trees = 3) of the depth-2 cell fail
+        if config.num_trees == 3 and config.tree.max_depth == 2:
+            raise ValueError("deliberate CV failure")
+        return original(X, Y, space, config)
+
+    monkeypatch.setattr(regressors, "fit_forest", fit_or_raise)
+    monkeypatch.setattr(simulate, "fit_forest", fit_or_raise)
+    cfg = MonteCarloConfig(runs=1, test_size=20, num_trees=4, cv_trees=3,
+                           folds=2, depth_grid=(2, 3), mtry_grid=(2,))
+    res = monte_carlo(SimSetting("I-1", p=2, n=40), ["rfwlcfr", "frf"], cfg,
+                      seed=5)
+    assert res.failures == []
+    assert all(math.isfinite(m) for _, _, m in res.rows)

@@ -75,6 +75,21 @@ def test_sphere_orthogonal():
     assert d == pytest.approx(math.pi / 2, abs=1e-12)
 
 
+def test_sphere_distance_resolves_nearby_points():
+    # arccos of the dot product reads 0 or about 1.5e-8 at these separations
+    space = sphere_space(3)
+    rng = np.random.default_rng(9)
+    for eps in (1e-12, 1e-10, 1e-9, 1e-6):
+        for _ in range(20):
+            a = random_unit(3, rng)
+            t = rng.normal(size=3)
+            t -= (t @ a) * a
+            b = sphere_exp(a, eps * t / np.linalg.norm(t))
+            assert distance(space, a, b) == pytest.approx(eps, rel=1e-6)
+    assert distance(space, np.array([0.0, 0.0, 1.0]),
+                    np.array([0.0, 0.0, -1.0])) == pytest.approx(math.pi)
+
+
 def test_logcholesky_scaled_identity():
     # chol(I) = I, chol(4I) = 2I: strict-lower parts zero, log-diag gap ln 2
     space = spd_space(2, "logcholesky")
