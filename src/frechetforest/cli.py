@@ -297,6 +297,12 @@ def cmd_tune(args) -> None:
     best, table = regressors.tune_cv(
         data.X, data.Y, space, args.estimator, grid,
         folds=int(args.folds), seed=seed, num_trees=int(args.num_trees))
+    for row in table:
+        for fold, message in row["failures"]:
+            print(json.dumps({"warning": "CV fold failed; scored inf",
+                              "command": "tune", "cell": row["cell"],
+                              "fold": fold, "error": message}),
+                  file=sys.stderr)
     keys = sorted(grid[0])
     rows = [[row["cell"][k] for k in keys]
             + [row["mean_error"], row["sd_error"]] for row in table]

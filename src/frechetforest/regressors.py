@@ -25,7 +25,7 @@ import numpy as np
 from . import spaces
 from .forest import ForestConfig, ForestModel, fit_forest, kernel_weights
 from .spaces import MetricSpace
-from .tree import TreeConfig, leaf_for
+from .tree import TreeConfig, leaf_for, shared_node_sums
 
 FOREST_KINDS = ("rfwlcfr", "rfwllfr", "frf")
 KERNEL_KINDS = ("nw", "lfr_kernel")
@@ -252,7 +252,7 @@ def _kfold_indices(n: int, folds: int, seed: int):
 
 def cv_errors(X: np.ndarray, Y: np.ndarray, space: MetricSpace, kinds,
               grid: list, folds: int, seed: int, num_trees: int,
-              base_tree: TreeConfig) -> dict:
+              base_tree: TreeConfig, failures: Optional[list] = None) -> dict:
     """Held-out Frechet MSE of each kind on each grid cell and fold.
 
     ``kinds`` share one cell family: forest kinds (cells ``{"max_depth",
@@ -260,46 +260,56 @@ def cv_errors(X: np.ndarray, Y: np.ndarray, space: MetricSpace, kinds,
     by all of them), ``gfr`` (cells ``{}``) or kernel kinds (cells
     ``{"bandwidth", "kernel"}``).  Returns ``{kind: array (cells, folds)}``;
     a fit or prediction that raises ``ValueError`` or ``LinAlgError``
-    scores infinity.
+    scores infinity, and ``failures``, if given a list, receives
+    ``(cell index, fold, kind, str(exc))`` for each such score.  The forests
+    of one fold share their node sums (``tree.shared_node_sums``).
     """
     n = len(X)
-    parts = _kfold_indices(n, folds, seed)
     errors = {k: np.empty((len(grid), folds)) for k in kinds}
-    for ci, cell in enumerate(grid):
-        for f, test_idx in enumerate(parts):
-            train_idx = np.setdiff1d(np.arange(n), test_idx)
-            Xtr, Ytr, Xte = X[train_idx], Y[train_idx], X[test_idx]
-            try:
-                if kinds[0] in FOREST_KINDS:
-                    tcfg = replace(base_tree, max_depth=cell["max_depth"],
-                                   mtry=cell.get("mtry", base_tree.mtry))
-                    fitted = fit_forest(Xtr, Ytr, space,
-                                        ForestConfig(num_trees=num_trees,
-                                                     tree=tcfg,
-                                                     master_seed=seed + f))
-                elif kinds[0] == "gfr":
-                    fitted = fit_gfr(Xtr, Ytr, space)
-                else:
-                    fitted = None  # kernel kinds carry no fitted state
-            except (ValueError, np.linalg.LinAlgError):
-                for k in kinds:
-                    errors[k][ci, f] = math.inf
-                continue
-            for k in kinds:
+
+    def score_inf(ci, f, failed_kinds, exc):
+        for k in failed_kinds:
+            errors[k][ci, f] = math.inf
+            if failures is not None:
+                failures.append((ci, f, k, str(exc)))
+
+    for f, test_idx in enumerate(_kfold_indices(n, folds, seed)):
+        train_idx = np.setdiff1d(np.arange(n), test_idx)
+        Xtr, Ytr, Xte = X[train_idx], Y[train_idx], X[test_idx]
+        with shared_node_sums():
+            for ci, cell in enumerate(grid):
                 try:
-                    if k in FOREST_KINDS:
-                        preds = predict_forest_batch(fitted, Xte, k)
-                    elif k == "gfr":
-                        preds = np.stack([predict_gfr(fitted, x) for x in Xte])
+                    if kinds[0] in FOREST_KINDS:
+                        tcfg = replace(base_tree, max_depth=cell["max_depth"],
+                                       mtry=cell.get("mtry", base_tree.mtry))
+                        fitted = fit_forest(
+                            Xtr, Ytr, space,
+                            ForestConfig(num_trees=num_trees, tree=tcfg,
+                                         master_seed=seed + f))
+                    elif kinds[0] == "gfr":
+                        fitted = fit_gfr(Xtr, Ytr, space)
                     else:
-                        fn = predict_nw if k == "nw" else predict_lfr_kernel
-                        preds = np.stack([
-                            fn(Xtr, Ytr, space, x, cell["bandwidth"],
-                               cell.get("kernel", "epanechnikov"))
-                            for x in Xte])
-                    errors[k][ci, f] = evaluate_mse(preds, Y[test_idx], space)
-                except (ValueError, np.linalg.LinAlgError):
-                    errors[k][ci, f] = math.inf
+                        fitted = None  # kernel kinds carry no fitted state
+                except (ValueError, np.linalg.LinAlgError) as exc:
+                    score_inf(ci, f, kinds, exc)
+                    continue
+                for k in kinds:
+                    try:
+                        if k in FOREST_KINDS:
+                            preds = predict_forest_batch(fitted, Xte, k)
+                        elif k == "gfr":
+                            preds = np.stack([predict_gfr(fitted, x)
+                                              for x in Xte])
+                        else:
+                            fn = predict_nw if k == "nw" else predict_lfr_kernel
+                            preds = np.stack([
+                                fn(Xtr, Ytr, space, x, cell["bandwidth"],
+                                   cell.get("kernel", "epanechnikov"))
+                                for x in Xte])
+                        errors[k][ci, f] = evaluate_mse(preds, Y[test_idx],
+                                                        space)
+                    except (ValueError, np.linalg.LinAlgError) as exc:
+                        score_inf(ci, f, [k], exc)
     return errors
 
 
@@ -311,20 +321,23 @@ def tune_cv(X: np.ndarray, Y: np.ndarray, space: MetricSpace, kind: str,
     Each cell is a dict: ``{"max_depth", "mtry"}`` for forest kinds,
     ``{"bandwidth", "kernel"}`` for kernel kinds, ``{}`` for gfr.  Returns
     ``(best_cell, table)`` where the table lists per-cell mean and sd of the
-    held-out Frechet MSE.  A failing cell scores infinity.
+    held-out Frechet MSE.  A failing cell scores infinity; its row's
+    ``failures`` lists ``(fold, message)`` for each fold that raised.
     """
     if folds < 2:
         raise ValueError("need at least 2 folds")
     if not grid:
         raise ValueError("empty tuning grid")
+    failures = []
     errors = cv_errors(np.asarray(X, dtype=float), np.asarray(Y, dtype=float),
                        space, [kind], grid, folds, seed, num_trees,
-                       base_tree or TreeConfig())[kind]
+                       base_tree or TreeConfig(), failures)[kind]
     table = [{"cell": cell,
               "mean_error": float(np.mean(row)),
               "sd_error": float(np.std(row, ddof=1))
-              if len(row) > 1 and np.all(np.isfinite(row)) else math.nan}
-             for cell, row in zip(grid, errors)]
+              if len(row) > 1 and np.all(np.isfinite(row)) else math.nan,
+              "failures": [(f, msg) for c, f, _, msg in failures if c == ci]}
+             for ci, (cell, row) in enumerate(zip(grid, errors))]
     means = [row["mean_error"] for row in table]
     best = int(np.argmin(means))  # argmin keeps the first (lowest) index on ties
     return grid[best], table

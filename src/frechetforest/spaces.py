@@ -172,17 +172,25 @@ def _sqrt_and_invsqrt(y: np.ndarray):
 # sphere primitives
 
 
+def _norm(x: np.ndarray):
+    """``np.linalg.norm`` of a contiguous vector, without its call overhead.
+
+    The same arithmetic, bit for bit: the square root of ``x.dot(x)``.
+    """
+    return np.sqrt(x.dot(x))
+
+
 def sphere_exp(base: np.ndarray, tangent: np.ndarray) -> np.ndarray:
     """Riemannian exponential map on the unit sphere."""
     base = np.asarray(base, dtype=float)
-    tangent = np.asarray(tangent, dtype=float)
-    if abs(base @ tangent) > 1e-8 * (1.0 + np.linalg.norm(tangent)):
+    tangent = np.ascontiguousarray(tangent, dtype=float)
+    norm = _norm(tangent)
+    if abs(base @ tangent) > 1e-8 * (1.0 + norm):
         raise ValueError("tangent vector is not orthogonal to the base point")
-    norm = np.linalg.norm(tangent)
     if norm < 1e-15:
         return base.copy()
     out = np.cos(norm) * base + np.sin(norm) * tangent / norm
-    return out / np.linalg.norm(out)
+    return out / _norm(out)
 
 
 def sphere_log(base: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -199,12 +207,19 @@ def sphere_log(base: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.arccos(dot) * proj / norm
 
 
-def _sphere_logs(base: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Log map of a stack of points, without the antipodal check."""
-    dots = np.clip(targets @ base, -1.0, 1.0)
+def _sphere_logs(base: np.ndarray, targets: np.ndarray, dots=None,
+                 theta=None) -> np.ndarray:
+    """Log map of a stack of points, without the antipodal check.
+
+    ``dots`` and ``theta``, the clipped inner products with ``base`` and
+    their arccosines, are computed unless the caller already has them.
+    """
+    if dots is None:
+        dots = np.clip(targets @ base, -1.0, 1.0)
+        theta = np.arccos(dots)
     proj = targets - dots[:, None] * base
-    norms = np.linalg.norm(proj, axis=1)
-    theta = np.arccos(dots)
+    # np.linalg.norm(proj, axis=1), bit for bit
+    norms = np.sqrt(np.add.reduce(proj * proj, axis=1))
     scale = np.where(norms > 1e-15, theta / np.maximum(norms, 1e-300), 0.0)
     return scale[:, None] * proj
 
@@ -443,7 +458,7 @@ def _descend(gradient, line, state, cur: float):
     it = 0
     for it in range(1, _MAX_ITER + 1):
         v = gradient(state)
-        if np.linalg.norm(v) < 1e-14:
+        if _norm(v.ravel(order="K")) < 1e-14:
             converged = True
             break
         candidate = line(state, v)
@@ -482,34 +497,46 @@ def _curved_mean(solve, ystack: np.ndarray, wn: np.ndarray, start):
     return best
 
 
-# --- sphere: the state is the iterate
+# --- sphere
 
 
 def _sphere_start(ystack: np.ndarray, wn: np.ndarray) -> np.ndarray:
     extrinsic = wn @ ystack
-    norm = np.linalg.norm(extrinsic)
+    norm = _norm(extrinsic)
     if norm < 1e-6:
         return ystack[int(np.argmax(wn))].copy()
     return extrinsic / norm
 
 
 def _sphere_solve(ystack: np.ndarray, wn: np.ndarray, y: np.ndarray):
-    def obj(p):
-        # not the arctan2 form: last bits of split sums decide mirrored ties
-        return float(wn @ (np.arccos(np.clip(ystack @ p, -1.0, 1.0)) ** 2))
+    """Sphere descent; the state is the iterate ``p`` with its angles.
 
-    def gradient(p):
-        v = wn @ _sphere_logs(p, ystack)
+    ``dots = clip(ystack @ p, -1, 1)`` and ``theta = arccos(dots)`` give
+    the objective ``wn @ theta**2``, and the gradient at an accepted
+    candidate reuses them instead of computing them again.
+    """
+    def evaluate(p):
+        # not the arctan2 form: last bits of split sums decide mirrored ties
+        dots = np.clip(ystack @ p, -1.0, 1.0)
+        theta = np.arccos(dots)
+        return float(wn @ theta ** 2), (p, dots, theta)
+
+    def gradient(state):
+        p, dots, theta = state
+        v = wn @ _sphere_logs(p, ystack, dots, theta)
         v -= (v @ p) * p
         return v
 
-    def line(p, v):
+    def line(state, v):
+        p = state[0]
+
         def candidate(step):
-            cand = sphere_exp(p, step * v)
-            return obj(cand), cand
+            return evaluate(sphere_exp(p, step * v))
         return candidate
 
-    return _descend(gradient, line, y, obj(y))
+    cur, state = evaluate(y)
+    (p, _, _), info = _descend(gradient, line, state, cur)
+    return p, info
 
 
 # --- affine-invariant SPD

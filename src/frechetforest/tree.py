@@ -20,7 +20,9 @@ thus the only ones that can carry kernel weight).
 
 from __future__ import annotations
 
+import contextvars
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -166,6 +168,7 @@ class _EmbeddedResponses:
     SCREEN_RTOL = 1e-9
 
     def __init__(self, space: MetricSpace, ystack: np.ndarray):
+        self.ystack = ystack
         self.emb = spaces.embed(space, ystack)
 
     def node_ss(self, idx: np.ndarray) -> float:
@@ -224,10 +227,41 @@ class _MetricResponses:
         return _valid_thresholds(np.sort(values), min_leaf)[0]
 
 
+_SHARED_ENGINES = contextvars.ContextVar("shared_node_sums", default=None)
+
+
+@contextmanager
+def shared_node_sums():
+    """Scope in which trees grown on the same responses share node sums.
+
+    Inside the scope, every tree grown on the same space and the same
+    ``ystack`` object uses one engine, so an index set solved for one tree
+    is not solved again for another: the cross-validation forests of one
+    fold draw the same bootstraps in every grid cell.  The responses must
+    not be modified inside the scope.  Sums, and so trees, are those of
+    unshared engines, bit for bit.
+    """
+    token = _SHARED_ENGINES.set({})
+    try:
+        yield
+    finally:
+        _SHARED_ENGINES.reset(token)
+
+
 def _responses_for(space: MetricSpace, ystack: np.ndarray):
-    if spaces.has_embedding(space):
-        return _EmbeddedResponses(space, ystack)
-    return _MetricResponses(space, ystack)
+    # outside a scope every call makes a fresh engine; inside one, the scope
+    # holds each engine and each engine its ystack, so the id of a live
+    # ystack is not reused within the scope
+    shared = _SHARED_ENGINES.get()
+    if shared is None:
+        shared = {}
+    key = (space, id(ystack))
+    engine = shared.get(key)
+    if engine is None or engine.ystack is not ystack:
+        engine = shared[key] = (_EmbeddedResponses
+                                if spaces.has_embedding(space)
+                                else _MetricResponses)(space, ystack)
+    return engine
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,7 @@ _CFG_SPD = MonteCarloConfig(runs=10, num_trees=100, cv_trees=25, folds=3,
                             depth_grid=(3, 5, 7), mtry_grid=(2, 3))
 
 
+@pytest.mark.slow
 def test_criterion_03_table1_nonlinear_ordering(criterion):
     res = monte_carlo(SimSetting("I-2", p=2, n=100),
                       ["gfr", "rfwlcfr", "rfwllfr"], _CFG_DIST, seed=31)
@@ -146,6 +147,7 @@ def test_criterion_03_table1_nonlinear_ordering(criterion):
                  f"{m['rfwlcfr']:.4f} < gfr/3 {m['gfr'] / 3:.4f})", ok)
 
 
+@pytest.mark.slow
 def test_criterion_04_table1_linear_ordering(criterion):
     res = monte_carlo(SimSetting("I-1", p=2, n=100), ["gfr", "rfwlcfr"],
                       _CFG_DIST, seed=41)
@@ -155,6 +157,7 @@ def test_criterion_04_table1_linear_ordering(criterion):
                  f"{m['rfwlcfr']:.4f})", ok)
 
 
+@pytest.mark.slow
 def test_criterion_05_table4_sphere_ordering(criterion):
     res = monte_carlo(SimSetting("III-2", p=2, n=100),
                       ["rfwlcfr", "rfwllfr"], _CFG_SPHERE, seed=51)
@@ -164,6 +167,7 @@ def test_criterion_05_table4_sphere_ordering(criterion):
                  f"{m['rfwlcfr']:.4f})", ok)
 
 
+@pytest.mark.slow
 def test_criterion_06_table2_spd_ordering(criterion):
     res = monte_carlo(SimSetting("II-1", p=5, n=200),
                       ["gfr", "rfwlcfr", "rfwllfr"], _CFG_SPD, seed=61)

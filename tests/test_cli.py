@@ -110,6 +110,31 @@ def test_tune_best_matches_table_argmin(tmp_path):
         table[int(np.argmin(table[:, 1])), 0])
 
 
+def test_tune_reports_each_failed_cv_fold(tmp_path, capsys):
+    out = tmp_path / "data"
+    cli.main(["simulate", "--scenario", "I-1", "--p", "2", "--n", "40",
+              "--seed", "6", "--out-dir", str(out)])
+    capsys.readouterr()
+    rc = cli.main(["tune", "--estimator", "nw", "--space", "wasserstein",
+                   "--dim", "21", "--x", str(out / "X.csv"),
+                   "--y", str(out / "Y.csv"), "--seed", "2",
+                   "--folds", "3", "--bandwidth-grid", "0.2", "0.4", "0.8",
+                   "--out", str(tmp_path / "cv.csv")])
+    assert rc == 0
+    lines = [json.loads(line)
+             for line in capsys.readouterr().err.splitlines()]
+    assert lines
+    for line in lines:
+        assert line["command"] == "tune"
+        assert line["cell"] == {"bandwidth": 0.2}
+        assert line["fold"] in range(3)
+        assert "no kernel mass" in line["error"]
+    assert len({line["fold"] for line in lines}) == len(lines)
+    rows = (tmp_path / "cv.csv").read_text().splitlines()[1:]
+    scored_inf = [row.split(",")[0] for row in rows if ",inf," in row]
+    assert [float(b) for b in scored_inf] == [0.2]
+
+
 def test_bench_table_byte_identical(tmp_path):
     args = ["bench-table", "--scenario", "I-1", "--p", "2", "--n", "30",
             "--runs", "1", "--estimators", "gfr", "--seed", "8",

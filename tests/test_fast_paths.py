@@ -3,10 +3,13 @@
 Covers the support-only mean solve, the moving-frame affine descent
 (checked against the square-root descent of earlier versions), the split
 sums of ``sum_sq_to_mean`` (bit for bit those of earlier versions), the
-per-index-set ``node_ss`` memo of the curved-space split engine and the
-per-leaf mean cache behind ``predict_frf``.
+per-index-set ``node_ss`` memo of the curved-space split engine, the
+split sums shared by the cross-validation forests of one fold, the sphere
+descent that carries its angles (checked against the solver of earlier
+versions) and the per-leaf mean cache behind ``predict_frf``.
 """
 
+import contextlib
 import json
 from dataclasses import replace
 
@@ -365,6 +368,154 @@ def test_shared_descent_equals_per_geometry_solvers_bit_for_bit(space,
             ref, ref_info = _old_affine_mean(space, ys, wn)
         assert np.array_equal(mean, ref)
         assert info == ref_info
+
+
+def _sphere_data(d, n, signed, rng):
+    """Sphere responses with duplicates, zero weights and a start point.
+
+    The last object is the normalised extrinsic mean of the others, which
+    lies within rounding of the descent's start, so the log map meets a
+    target at its base point.
+    """
+    ys = _objects(sphere_space(d), n, rng)
+    ys[rng.integers(0, n, size=n // 4)] = ys[rng.integers(0, n, size=n // 4)]
+    w = _weights(n, signed, rng)
+    w[rng.permutation(n)[:n // 5]] = 0.0
+    extrinsic = (w / w.sum()) @ ys
+    ys = np.vstack([ys, extrinsic / np.linalg.norm(extrinsic)])
+    return ys, np.append(w, rng.uniform(0.1, 1.0))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("signed", [False, True])
+def test_sphere_descent_equals_earlier_solver_at_realistic_sizes(d, signed):
+    rng = np.random.default_rng(67)
+    space = sphere_space(d)
+    at_base = 0
+    for n in list(range(15, 121, 15)) * 2:
+        ys, w = _sphere_data(d, n, signed, rng)
+        if w.sum() <= 0:
+            continue
+        wn = w / w.sum()
+        support = wn != 0
+        start = spaces._sphere_start(ys[support], wn[support])
+        at_base += np.linalg.norm(ys[-1] - (ys[-1] @ start) * start) <= 1e-15
+        mean, info = weighted_frechet_mean(space, ys, w, return_info=True)
+        ref, ref_info = _old_sphere_mean(ys[support], wn[support])
+        assert np.array_equal(mean, ref)
+        assert info == ref_info
+    assert at_base > 0
+
+
+def _old_sphere_exp(base, tangent):
+    base = np.asarray(base, dtype=float)
+    tangent = np.asarray(tangent, dtype=float)
+    if abs(base @ tangent) > 1e-8 * (1.0 + np.linalg.norm(tangent)):
+        raise ValueError("tangent vector is not orthogonal to the base point")
+    norm = np.linalg.norm(tangent)
+    if norm < 1e-15:
+        return base.copy()
+    out = np.cos(norm) * base + np.sin(norm) * tangent / norm
+    return out / np.linalg.norm(out)
+
+
+def _old_sphere_logs(base, targets):
+    dots = np.clip(targets @ base, -1.0, 1.0)
+    proj = targets - dots[:, None] * base
+    norms = np.linalg.norm(proj, axis=1)
+    theta = np.arccos(dots)
+    scale = np.where(norms > 1e-15, theta / np.maximum(norms, 1e-300), 0.0)
+    return scale[:, None] * proj
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_sphere_maps_equal_earlier_formulas_bit_for_bit(d):
+    rng = np.random.default_rng(71)
+    for _ in range(200):
+        base = _objects(sphere_space(d), 1, rng)[0]
+        v = rng.normal(size=d) * 10.0 ** rng.uniform(-17, 1)
+        v -= (v @ base) * base
+        # a strided view as well as a contiguous vector
+        strided = np.repeat(v, 2)[::2]
+        for tangent in (v, strided):
+            assert np.array_equal(spaces.sphere_exp(base, tangent),
+                                  _old_sphere_exp(base, tangent))
+        targets = np.vstack([_objects(sphere_space(d), 30, rng), base])
+        dots = np.clip(targets @ base, -1.0, 1.0)
+        ref = _old_sphere_logs(base, targets)
+        assert np.array_equal(spaces._sphere_logs(base, targets), ref)
+        assert np.array_equal(
+            spaces._sphere_logs(base, targets, dots, np.arccos(dots)), ref)
+    base = np.eye(d)[0]
+    with pytest.raises(ValueError, match="not orthogonal"):
+        spaces.sphere_exp(base, 0.1 * base + np.eye(d)[1])
+
+
+def _counting_sum_sq(monkeypatch):
+    solves = []
+    original = spaces.sum_sq_to_mean
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spaces, "sum_sq_to_mean", counting)
+    return solves
+
+
+@pytest.mark.parametrize("split_method", ["two_means", "exhaustive"])
+def test_cv_forests_of_a_fold_share_node_sums(monkeypatch, split_method):
+    rng = np.random.default_rng(19)
+    n, folds = 45, 3
+    space = sphere_space(3)
+    X = rng.uniform(size=(n, 2))
+    Y = _objects(space, n, rng)
+    grid = [{"max_depth": d, "mtry": m} for d in (3, 5) for m in (1, 2)]
+    base = TreeConfig(min_leaf=3, split_method=split_method)
+    args = (X, Y, space, list(regressors.FOREST_KINDS), grid, folds, 7, 4,
+            base)
+    solves = _counting_sum_sq(monkeypatch)
+    shared = regressors.cv_errors(*args)
+    shared_solves = len(solves)
+    monkeypatch.setattr(regressors, "shared_node_sums", contextlib.nullcontext)
+    solves.clear()
+    unshared = regressors.cv_errors(*args)
+    for kind in regressors.FOREST_KINDS:
+        assert np.array_equal(shared[kind], unshared[kind])
+    assert shared_solves < len(solves)
+
+
+def test_shared_engine_is_never_reused_for_another_ystack():
+    rng = np.random.default_rng(23)
+    space = sphere_space(3)
+    Y = _objects(space, 20, rng)
+    copy = Y.copy()
+    assert tree._responses_for(space, Y) is not tree._responses_for(space, Y)
+    with tree.shared_node_sums():
+        engine = tree._responses_for(space, Y)
+        assert tree._responses_for(space, Y) is engine
+        assert tree._responses_for(space, copy) is not engine
+        assert tree._responses_for(space, copy).ystack is copy
+        assert tree._responses_for(sphere_space(3), Y) is engine
+        for ys in (Y[:], np.asarray(Y, order="F")):
+            assert tree._responses_for(space, ys).ystack is ys
+    with tree.shared_node_sums():
+        assert tree._responses_for(space, Y) is not engine
+
+
+def test_shared_scope_is_reset_after_cv_and_after_an_error():
+    rng = np.random.default_rng(29)
+    space = sphere_space(3)
+    X = rng.uniform(size=(24, 2))
+    Y = _objects(space, 24, rng)
+    regressors.cv_errors(X, Y, space, ["rfwlcfr"], [{"max_depth": 3}], 2, 1,
+                         2, TreeConfig(min_leaf=3))
+    assert tree._SHARED_ENGINES.get() is None
+    with pytest.raises(RuntimeError, match="inside the scope"):
+        with tree.shared_node_sums():
+            tree._responses_for(space, Y)
+            raise RuntimeError("raised inside the scope")
+    assert tree._SHARED_ENGINES.get() is None
 
 
 def test_forest_cv_fits_one_forest_per_cell_and_fold(monkeypatch):

@@ -267,6 +267,17 @@ def test_tune_cv_failing_cell_scores_inf():
     assert best == grid[1]
 
 
+def test_tune_cv_keeps_the_text_of_each_failed_fold():
+    rng = np.random.default_rng(15)
+    X = rng.uniform(size=(30, 2))
+    Y = scalar_data(rng.normal(size=30))
+    grid = [{"bandwidth": 1e-6}, {"bandwidth": 0.5}]
+    _, table = tune_cv(X, Y, SCALAR, "nw", grid, folds=3, seed=0)
+    assert [fold for fold, _ in table[0]["failures"]] == [0, 1, 2]
+    assert all("no kernel mass" in msg for _, msg in table[0]["failures"])
+    assert table[1]["failures"] == []
+
+
 # ---------------------------------------------------------------------------
 # permutation invariance
 
