@@ -22,7 +22,7 @@ import numpy as np
 from . import forest as forest_mod
 from . import regressors, simulate, spaces
 from . import tree as tree_mod
-from .forest import ForestConfig, kernel_weights
+from .forest import ForestConfig
 from .tree import TreeConfig
 
 class CliError(Exception):
@@ -237,24 +237,6 @@ def _load_model(path):
         raise CliError(f"malformed model file {path}: {exc}", path=path)
 
 
-def _predict_one(kind, model, x):
-    """Return (object, converged flag, weights) for one query point."""
-    if kind == "gfr":
-        w = regressors.gfr_weights(model, x)
-    elif kind == "rfwlcfr":
-        w = kernel_weights(model, x)
-    elif kind == "rfwllfr":
-        w = regressors.local_linear_weights(model.X, x,
-                                            kernel_weights(model, x))
-    else:  # frf: the weights are the equal weights of the tree means
-        obj, info = regressors.predict_frf(model, x, return_info=True)
-        n = len(model.trees)
-        return obj, info["converged"], np.full(n, 1.0 / n)
-    obj, info = spaces.weighted_frechet_mean(model.space, model.Y, w,
-                                             return_info=True)
-    return obj, info["converged"], w
-
-
 def cmd_predict(args) -> None:
     kind, model = _load_model(args.model)
     X = _parse_csv_matrix(args.x, args.header)
@@ -265,14 +247,16 @@ def cmd_predict(args) -> None:
                        expected=model.X.shape[1], given=p)
     rows = []
     first = None
+    predict = getattr(regressors, f"predict_{kind}")
     for x in X:
-        obj, converged, w = _predict_one(kind, model, x)
+        obj, info = predict(model, x, return_info=True)
         flat = np.asarray(obj).ravel()
         if first is None:
             first = len(flat)
+        w = info["weights"]
         rows.append(list(x) + list(flat)
-                    + [int(converged), float(np.min(w)), float(np.max(w)),
-                       float(np.sum(w))])
+                    + [int(info["converged"]), float(np.min(w)),
+                       float(np.max(w)), float(np.sum(w))])
     header = ([f"x{j + 1}" for j in range(p)]
               + [f"y{j + 1}" for j in range(first)]
               + ["converged", "weight_min", "weight_max", "weight_sum"])
@@ -359,7 +343,8 @@ def cmd_bench_table(args) -> None:
                            "sd_mse": result.summary[k]["sd_mse"],
                            "runs": result.summary[k]["runs"]}
                        for k in estimators},
-        "failures": len(result.failures)}
+        "failures": len(result.failures),
+        "cv_failures": result.cv_failures}
     atomic_write(os.path.join(args.out_dir, "metrics.json"),
                  json.dumps(metrics, indent=2, sort_keys=True) + "\n")
 

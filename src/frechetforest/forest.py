@@ -121,25 +121,18 @@ def kernel_weights(model: ForestModel, x: np.ndarray) -> np.ndarray:
 # persistence
 
 
-def model_to_dict(model: ForestModel, include_data: bool = True) -> dict:
-    d = {"space": model.space.to_dict(),
-         "config": model.config.to_dict(),
-         "trees": [t.to_dict() for t in model.trees],
-         "data_included": include_data}
-    if include_data:
-        d["X"] = model.X.tolist()
-        d["Y"] = model.Y.tolist()
-    return d
+def model_to_dict(model: ForestModel) -> dict:
+    return {"space": model.space.to_dict(),
+            "config": model.config.to_dict(),
+            "trees": [t.to_dict() for t in model.trees],
+            "X": model.X.tolist(),
+            "Y": model.Y.tolist()}
 
 
-def model_from_dict(d: dict, X: Optional[np.ndarray] = None,
-                    Y: Optional[np.ndarray] = None) -> ForestModel:
+def model_from_dict(d: dict) -> ForestModel:
     config = ForestConfig.from_dict(d["config"])
     space = MetricSpace.from_dict(d["space"])
-    if d.get("data_included"):
-        X = np.asarray(d["X"], dtype=float)
-        Y = np.asarray(d["Y"], dtype=float)
-    if X is None or Y is None:
-        raise ValueError("model document carries no data; pass X and Y")
+    X = np.asarray(d["X"], dtype=float)
+    Y = np.asarray(d["Y"], dtype=float)
     trees = [FrechetTree.from_dict(td, config.tree) for td in d["trees"]]
     return ForestModel(trees, X, Y, space, config)

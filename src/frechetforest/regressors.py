@@ -7,6 +7,9 @@ Forest-based estimators (need a fitted :class:`~frechetforest.forest.ForestModel
   built from the forest kernel.
 * ``frf``     -- Frechet mean of the per-tree leaf Frechet means.
 
+With ``return_info=True`` these and ``predict_gfr`` return the object and
+the mean solver's info, plus ``"weights"``: the weights it averaged.
+
 Baselines (need only the training data):
 
 * ``gfr``        -- global Frechet regression (linear-model weights).
@@ -38,10 +41,19 @@ _RIDGE = 1e-8
 # forest-based estimators
 
 
-def predict_rfwlcfr(model: ForestModel, x: np.ndarray) -> np.ndarray:
+def _mean(space: MetricSpace, ystack: np.ndarray, weights: np.ndarray,
+          return_info: bool, reported: Optional[np.ndarray] = None):
+    """Mean, or ``(mean, info)`` with weights ``reported`` (or ``weights``)."""
+    out, info = spaces.weighted_frechet_mean(space, ystack, weights,
+                                             return_info=True)
+    info["weights"] = weights if reported is None else reported
+    return (out, info) if return_info else out
+
+
+def predict_rfwlcfr(model: ForestModel, x: np.ndarray,
+                    return_info: bool = False):
     """Local-constant prediction: Frechet mean under the forest kernel."""
-    alpha = kernel_weights(model, x)
-    return spaces.weighted_frechet_mean(model.space, model.Y, alpha)
+    return _mean(model.space, model.Y, kernel_weights(model, x), return_info)
 
 
 def local_linear_weights(X: np.ndarray, x: np.ndarray,
@@ -75,11 +87,11 @@ def local_linear_weights(X: np.ndarray, x: np.ndarray,
     return alpha * (design @ v)
 
 
-def predict_rfwllfr(model: ForestModel, x: np.ndarray) -> np.ndarray:
+def predict_rfwllfr(model: ForestModel, x: np.ndarray,
+                    return_info: bool = False):
     """Local-linear prediction: signed-weight Frechet mean."""
-    alpha = kernel_weights(model, x)
-    t = local_linear_weights(model.X, x, alpha)
-    return spaces.weighted_frechet_mean(model.space, model.Y, t)
+    t = local_linear_weights(model.X, x, kernel_weights(model, x))
+    return _mean(model.space, model.Y, t, return_info)
 
 
 def leaf_means(model: ForestModel, x: np.ndarray) -> np.ndarray:
@@ -104,12 +116,12 @@ def leaf_means(model: ForestModel, x: np.ndarray) -> np.ndarray:
 def predict_frf(model: ForestModel, x: np.ndarray, return_info: bool = False):
     """Two-stage prediction: Frechet mean of the per-tree predictions.
 
-    With ``return_info`` the second-stage solver's info comes back too.
+    Its info is the second-stage solver's, with weights ``1/B`` per tree.
     """
     preds = leaf_means(model, x)
-    return spaces.weighted_frechet_mean(model.space, preds,
-                                        np.ones(len(preds)),
-                                        return_info=return_info)
+    B = len(preds)
+    return _mean(model.space, preds, np.ones(B), return_info,
+                 reported=np.full(B, 1.0 / B))
 
 
 _FOREST_PREDICTORS = {"rfwlcfr": predict_rfwlcfr,
@@ -158,9 +170,8 @@ def gfr_weights(model: GFRModel, x: np.ndarray) -> np.ndarray:
     return s / len(model.X)
 
 
-def predict_gfr(model: GFRModel, x: np.ndarray) -> np.ndarray:
-    return spaces.weighted_frechet_mean(model.space, model.Y,
-                                        gfr_weights(model, x))
+def predict_gfr(model: GFRModel, x: np.ndarray, return_info: bool = False):
+    return _mean(model.space, model.Y, gfr_weights(model, x), return_info)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +236,38 @@ def scalar_local_linear_weights(X1: np.ndarray, x: float,
 
 
 # ---------------------------------------------------------------------------
-# cross-validation tuning
+# one fit and one batch prediction per kind, and cross-validation
+
+
+def fit_cell(kind: str, X: np.ndarray, Y: np.ndarray, space: MetricSpace,
+             cell: dict, num_trees: int, base_tree: TreeConfig, seed: int):
+    """Fitted state of ``kind`` on one grid cell, for :func:`predict_batch`.
+
+    One forest (master seed ``seed``) serves every forest kind; ``gfr``
+    ignores the cell; a kernel kind keeps the data and the cell's kernel.
+    """
+    if kind in FOREST_KINDS:
+        tcfg = replace(base_tree, max_depth=cell["max_depth"],
+                       mtry=cell.get("mtry", base_tree.mtry))
+        return fit_forest(X, Y, space, ForestConfig(
+            num_trees=num_trees, tree=tcfg, master_seed=seed))
+    if kind == "gfr":
+        return fit_gfr(X, Y, space)
+    if kind in KERNEL_KINDS:
+        return (X, Y, space, cell["bandwidth"],
+                cell.get("kernel", "epanechnikov"))
+    raise ValueError(f"unknown estimator {kind!r}")
+
+
+def predict_batch(kind: str, fitted, X_query: np.ndarray) -> np.ndarray:
+    """Predictions of ``kind`` from a :func:`fit_cell` state, one per row."""
+    if kind in FOREST_KINDS:
+        return predict_forest_batch(fitted, X_query, kind)
+    if kind == "gfr":
+        return np.stack([predict_gfr(fitted, x) for x in X_query])
+    X, Y, space, bandwidth, kernel = fitted
+    fn = predict_nw if kind == "nw" else predict_lfr_kernel
+    return np.stack([fn(X, Y, space, x, bandwidth, kernel) for x in X_query])
 
 
 def evaluate_mse(predictions: np.ndarray, truths: np.ndarray,
@@ -279,35 +321,15 @@ def cv_errors(X: np.ndarray, Y: np.ndarray, space: MetricSpace, kinds,
         with shared_node_sums():
             for ci, cell in enumerate(grid):
                 try:
-                    if kinds[0] in FOREST_KINDS:
-                        tcfg = replace(base_tree, max_depth=cell["max_depth"],
-                                       mtry=cell.get("mtry", base_tree.mtry))
-                        fitted = fit_forest(
-                            Xtr, Ytr, space,
-                            ForestConfig(num_trees=num_trees, tree=tcfg,
-                                         master_seed=seed + f))
-                    elif kinds[0] == "gfr":
-                        fitted = fit_gfr(Xtr, Ytr, space)
-                    else:
-                        fitted = None  # kernel kinds carry no fitted state
+                    fitted = fit_cell(kinds[0], Xtr, Ytr, space, cell,
+                                      num_trees, base_tree, seed + f)
                 except (ValueError, np.linalg.LinAlgError) as exc:
                     score_inf(ci, f, kinds, exc)
                     continue
                 for k in kinds:
                     try:
-                        if k in FOREST_KINDS:
-                            preds = predict_forest_batch(fitted, Xte, k)
-                        elif k == "gfr":
-                            preds = np.stack([predict_gfr(fitted, x)
-                                              for x in Xte])
-                        else:
-                            fn = predict_nw if k == "nw" else predict_lfr_kernel
-                            preds = np.stack([
-                                fn(Xtr, Ytr, space, x, cell["bandwidth"],
-                                   cell.get("kernel", "epanechnikov"))
-                                for x in Xte])
-                        errors[k][ci, f] = evaluate_mse(preds, Y[test_idx],
-                                                        space)
+                        errors[k][ci, f] = evaluate_mse(
+                            predict_batch(k, fitted, Xte), Y[test_idx], space)
                     except (ValueError, np.linalg.LinAlgError) as exc:
                         score_inf(ci, f, [k], exc)
     return errors

@@ -28,8 +28,7 @@ import numpy as np
 
 from . import regressors
 from . import tree as tree_mod
-from .forest import ForestConfig, fit_forest
-from .regressors import FOREST_KINDS, evaluate_mse
+from .regressors import FOREST_KINDS, KERNEL_KINDS, evaluate_mse
 from .spaces import (MetricSpace, matrix_exp, sphere_exp, spd_space,
                      sphere_space, wasserstein_space)
 from .tree import TreeConfig
@@ -293,6 +292,7 @@ class MonteCarloResult:
     rows: list          # (run, estimator, mse)
     summary: dict       # estimator -> {"mean_mse", "sd_mse", "runs"}
     failures: list      # (run, message)
+    cv_failures: list   # {"run", "estimator", "cell", "fold", "error"}
 
 
 def _forest_cells(setting: SimSetting, cfg: MonteCarloConfig) -> list:
@@ -302,59 +302,55 @@ def _forest_cells(setting: SimSetting, cfg: MonteCarloConfig) -> list:
 
 
 def run_once(setting: SimSetting, estimators, cfg: MonteCarloConfig,
-             seed: int, run_index: int) -> dict:
-    """One Monte-Carlo repetition: generate, tune, fit, score."""
+             seed: int, run_index: int):
+    """One Monte-Carlo repetition: generate, tune, fit, score.
+
+    Returns the test MSE per estimator and a list of the CV folds that
+    raised and scored infinity (the ``cv_failures`` of the result).
+    """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(run_index,)))
     train = generate(setting, rng)
     test = generate(replace(setting, n=cfg.test_size), rng)
-    out = {}
+    cv_seed = seed * 1000003 + run_index
+    base = TreeConfig(min_leaf=cfg.min_leaf,
+                      split_method=cfg.split_method, honest=cfg.honest)
+    failed = []  # (estimator, cell, fold, message)
     forest_kinds = [e for e in estimators if e in FOREST_KINDS]
-    if forest_kinds:
-        base = TreeConfig(min_leaf=cfg.min_leaf,
-                          split_method=cfg.split_method, honest=cfg.honest)
-        cells = _forest_cells(setting, cfg)
-        best = {k: cells[0] for k in forest_kinds}
-        if len(cells) > 1:
-            errors = regressors.cv_errors(
-                train.X, train.Y, train.space, forest_kinds, cells,
-                cfg.folds, seed * 1000003 + run_index, cfg.cv_trees, base)
-            for k in forest_kinds:
-                score = np.zeros(len(cells))
-                # summed fold by fold: rounding can decide near-ties
-                for f in range(cfg.folds):
-                    score += errors[k][:, f] / cfg.folds
-                best[k] = cells[int(np.argmin(score))]
-        models = {}
+    cells = _forest_cells(setting, cfg)
+    best = dict.fromkeys(forest_kinds, cells[0])
+    if forest_kinds and len(cells) > 1:
+        cv = []
+        errors = regressors.cv_errors(
+            train.X, train.Y, train.space, forest_kinds, cells, cfg.folds,
+            cv_seed, cfg.cv_trees, base, cv)
+        failed += [(k, cells[ci], f, msg) for ci, f, k, msg in cv]
         for k in forest_kinds:
-            key = (best[k]["max_depth"], best[k]["mtry"])
-            if key not in models:
-                tcfg = replace(base, max_depth=key[0], mtry=key[1])
-                models[key] = fit_forest(
-                    train.X, train.Y, train.space,
-                    ForestConfig(num_trees=cfg.num_trees, tree=tcfg,
-                                 master_seed=seed * 7 + run_index))
-            preds = regressors.predict_forest_batch(models[key], test.X, k)
-            out[k] = evaluate_mse(preds, test.truth, train.space)
+            score = np.zeros(len(cells))
+            # summed fold by fold: rounding can decide near-ties
+            for f in range(cfg.folds):
+                score += errors[k][:, f] / cfg.folds
+            best[k] = cells[int(np.argmin(score))]
+    out, fitted = {}, {}
     for k in estimators:
-        if k in FOREST_KINDS:
-            continue
-        if k == "gfr":
-            gm = regressors.fit_gfr(train.X, train.Y, train.space)
-            preds = np.stack([regressors.predict_gfr(gm, x) for x in test.X])
-        elif k in ("nw", "lfr_kernel"):
+        if k in KERNEL_KINDS:
             grid = [{"bandwidth": h} for h in cfg.bandwidth_grid]
-            cell, _ = regressors.tune_cv(train.X, train.Y, train.space, k,
-                                         grid, folds=cfg.folds,
-                                         seed=seed * 1000003 + run_index)
-            fn = (regressors.predict_nw if k == "nw"
-                  else regressors.predict_lfr_kernel)
-            preds = np.stack([fn(train.X, train.Y, train.space, x,
-                                 cell["bandwidth"]) for x in test.X])
-        else:
-            raise ValueError(f"unknown estimator {k!r}")
+            best[k], table = regressors.tune_cv(
+                train.X, train.Y, train.space, k, grid, folds=cfg.folds,
+                seed=cv_seed)
+            failed += [(k, row["cell"], f, msg)
+                       for row in table for f, msg in row["failures"]]
+        cell = best.get(k, {})
+        # the forest kinds share one final forest per chosen cell
+        key = tuple(cell.items()) if k in FOREST_KINDS else k
+        if key not in fitted:
+            fitted[key] = regressors.fit_cell(
+                k, train.X, train.Y, train.space, cell, cfg.num_trees, base,
+                seed * 7 + run_index)
+        preds = regressors.predict_batch(k, fitted[key], test.X)
         out[k] = evaluate_mse(preds, test.truth, train.space)
-    return out
+    return out, [{"run": run_index, "estimator": k, "cell": cell, "fold": f,
+                  "error": msg} for k, cell, f, msg in failed]
 
 
 def _run_star(args):
@@ -369,7 +365,8 @@ def monte_carlo(setting: SimSetting, estimators, cfg: MonteCarloConfig,
     """Repeat a scenario, aggregate mean and sd of the per-run MSE.
 
     Runs are independent with per-run derived seeds; the output does not
-    depend on ``n_jobs``.  A failing run is recorded and excluded.
+    depend on ``n_jobs``.  A failing run is recorded and excluded; the CV
+    folds that scored infinity are listed in run order.
     """
     estimators = list(estimators)
     tasks = [(setting, estimators, cfg, seed, r) for r in range(cfg.runs)]
@@ -380,14 +377,17 @@ def monte_carlo(setting: SimSetting, estimators, cfg: MonteCarloConfig,
         raw = [_run_star(t) for t in tasks]
     rows = []
     failures = []
+    cv_failures = []
     per_est = {k: [] for k in estimators}
     for r, res in enumerate(raw):
         if isinstance(res, Exception):
             failures.append((r, str(res)))
             continue
+        mse, cv = res
+        cv_failures += cv
         for k in estimators:
-            rows.append((r, k, res[k]))
-            per_est[k].append(res[k])
+            rows.append((r, k, mse[k]))
+            per_est[k].append(mse[k])
     summary = {}
     for k in estimators:
         vals = np.asarray(per_est[k])
@@ -395,4 +395,4 @@ def monte_carlo(setting: SimSetting, estimators, cfg: MonteCarloConfig,
             "mean_mse": float(np.mean(vals)) if len(vals) else math.nan,
             "sd_mse": float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0,
             "runs": int(len(vals))}
-    return MonteCarloResult(rows, summary, failures)
+    return MonteCarloResult(rows, summary, failures, cv_failures)

@@ -60,10 +60,6 @@ class MetricSpace:
         if self.normalization not in ("riemann", "euclidean"):
             raise ValueError(f"unknown normalization {self.normalization!r}")
 
-    @property
-    def is_spd(self) -> bool:
-        return self.kind in (SPD_LOGCHOLESKY, SPD_AFFINE)
-
     def to_dict(self) -> dict:
         return {"kind": self.kind, "dim": self.dim,
                 "normalization": self.normalization}
@@ -106,7 +102,7 @@ def validate_object(space: MetricSpace, y: np.ndarray) -> np.ndarray:
                              f"got shape {y.shape}")
         if np.any(np.diff(y) < -1e-9):
             raise ValueError("quantile vector is not nondecreasing")
-    elif space.is_spd:
+    elif space.kind in (SPD_LOGCHOLESKY, SPD_AFFINE):
         m = space.dim
         if y.shape != (m, m):
             raise ValueError(f"expected {m}x{m} matrix, got shape {y.shape}")
@@ -121,11 +117,6 @@ def validate_object(space: MetricSpace, y: np.ndarray) -> np.ndarray:
         if abs(np.linalg.norm(y) - 1.0) > 100 * _UNIT_TOL:
             raise ValueError("vector does not have unit norm")
     return y
-
-
-def stack_objects(space: MetricSpace, objects) -> np.ndarray:
-    """Stack a list of objects into a single array along axis 0."""
-    return np.stack([np.asarray(y, dtype=float) for y in objects])
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +284,7 @@ def dist2_to_point(space: MetricSpace, ystack: np.ndarray, y: np.ndarray) -> np.
         return _wasserstein_scale(space) * np.sum((ystack - y) ** 2, axis=1)
     if space.kind == SPHERE:
         # not the arctan2 form: last bits of split sums decide mirrored ties
-        return np.arccos(np.clip(ystack @ y, -1.0, 1.0)) ** 2
+        return np.arccos(np.minimum(np.maximum(ystack @ y, -1.0), 1.0)) ** 2
     if space.kind == SPD_LOGCHOLESKY:
         e = embed(space, ystack)
         ey = _logchol_embed_one(y)
@@ -516,8 +507,9 @@ def _sphere_solve(ystack: np.ndarray, wn: np.ndarray, y: np.ndarray):
     candidate reuses them instead of computing them again.
     """
     def evaluate(p):
-        # not the arctan2 form: last bits of split sums decide mirrored ties
-        dots = np.clip(ystack @ p, -1.0, 1.0)
+        # clip without np.clip's overhead; not the arctan2 form: last bits
+        # of split sums decide mirrored ties
+        dots = np.minimum(np.maximum(ystack @ p, -1.0), 1.0)
         theta = np.arccos(dots)
         return float(wn @ theta ** 2), (p, dots, theta)
 

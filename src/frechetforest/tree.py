@@ -33,6 +33,8 @@ from .spaces import MetricSpace
 
 THRESHOLD = "threshold"
 REPRESENTATIVES = "representatives"
+_TWO_MEANS_EXACT = 64  # two_means_1d scans every partition up to this size
+_TWO_MEANS_ITERS = 50  # Lloyd iterations above it
 
 
 @dataclass(frozen=True)
@@ -275,11 +277,9 @@ def _gain(resp, samples: np.ndarray, mask: np.ndarray, total_ss: float) -> float
 
 
 def split_gain_exhaustive(samples: np.ndarray, feature: int, threshold: float,
-                          X: np.ndarray, ystack, space: MetricSpace,
-                          resp=None) -> float:
+                          X: np.ndarray, ystack, space: MetricSpace) -> float:
     """Frechet-variance reduction of a threshold split at a node."""
-    if resp is None:
-        resp = _responses_for(space, ystack)
+    resp = _responses_for(space, ystack)
     samples = np.asarray(samples, dtype=np.intp)
     mask = X[samples, feature] < threshold
     if mask.all() or not mask.any():
@@ -287,19 +287,18 @@ def split_gain_exhaustive(samples: np.ndarray, feature: int, threshold: float,
     return _gain(resp, samples, mask, resp.node_ss(samples))
 
 
-def two_means_1d(values: np.ndarray, exhaustive_limit: int = 64,
-                 max_iter: int = 50):
+def two_means_1d(values: np.ndarray):
     """1-D 2-means centers ``(c_low, c_high)``.
 
-    Small inputs are solved exactly by scanning all contiguous partitions of
-    the sorted values; larger inputs use Lloyd iterations started from the
-    min and max.
+    Up to ``_TWO_MEANS_EXACT`` values are solved exactly by scanning all
+    contiguous partitions of the sorted values; larger inputs use at most
+    ``_TWO_MEANS_ITERS`` Lloyd iterations started from the min and max.
     """
     v = np.sort(np.asarray(values, dtype=float))
     n = v.size
     if n < 2 or v[0] == v[-1]:
         raise ValueError("need at least two distinct values")
-    if n <= exhaustive_limit:
+    if n <= _TWO_MEANS_EXACT:
         cs = np.cumsum(v)
         total = cs[-1]
         k = np.arange(1, n)
@@ -311,7 +310,7 @@ def two_means_1d(values: np.ndarray, exhaustive_limit: int = 64,
         best = int(np.argmin(wcss))
         return float(left_mean[best]), float(right_mean[best])
     lo, hi = v[0], v[-1]
-    for _ in range(max_iter):
+    for _ in range(_TWO_MEANS_ITERS):
         mid = (lo + hi) / 2.0
         left = v[v <= mid]
         right = v[v > mid]
@@ -325,13 +324,12 @@ def two_means_1d(values: np.ndarray, exhaustive_limit: int = 64,
 
 
 def split_two_means(samples: np.ndarray, feature: int, X: np.ndarray,
-                    ystack, space: MetricSpace, resp=None):
+                    ystack, space: MetricSpace):
     """Representative split of a node along one feature.
 
     Returns ``(c_left, c_right, gain)``.
     """
-    if resp is None:
-        resp = _responses_for(space, ystack)
+    resp = _responses_for(space, ystack)
     samples = np.asarray(samples, dtype=np.intp)
     values = X[samples, feature]
     c_lo, c_hi = two_means_1d(values)

@@ -278,6 +278,24 @@ def test_predict_rejects_predictor_count_mismatch(tmp_path, capsys):
     assert not (tmp_path / "p.csv").exists()
 
 
+def test_model_document_data_keys(tmp_path, capsys):
+    path = _fit_small_model(tmp_path, "frf")
+    doc = json.loads(path.read_text())
+    assert "data_included" not in doc["model"]
+    _write_csv(tmp_path / "q.csv", [[0.1, 0.2]])
+    argv = ["predict", "--model", str(path), "--x", str(tmp_path / "q.csv"),
+            "--out", str(tmp_path / "p.csv")]
+    # files written with the older "data_included" key still load
+    doc["model"]["data_included"] = True
+    path.write_text(json.dumps(doc))
+    assert cli.main(argv) == 0
+    del doc["model"]["X"]
+    path.write_text(json.dumps(doc))
+    assert cli.main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["field"], err["path"]) == ("X", str(path))
+
+
 @pytest.mark.parametrize("estimator,loader",
                          [("rfwllfr", (forest, "model_from_dict")),
                           ("frf", (forest, "model_from_dict")),
@@ -314,22 +332,38 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_cli_frf_rows_equal_library_predictions(tmp_path):
-    model_path = _fit_small_model(tmp_path, "frf")
-    rng = np.random.default_rng(3)
-    queries = rng.uniform(size=(6, 2))
+@pytest.mark.parametrize("space,scenario,dim",
+                         [("wasserstein", "I-2", 21), ("sphere", "III-2", 3)],
+                         ids=["wasserstein", "sphere"])
+@pytest.mark.parametrize("kind", ["rfwlcfr", "rfwllfr", "frf", "gfr"])
+def test_cli_predict_rows_equal_library_predictions(tmp_path, kind, space,
+                                                    scenario, dim):
+    data = tmp_path / "data"
+    cli.main(["simulate", "--scenario", scenario, "--p", "2", "--n", "40",
+              "--seed", "7", "--out-dir", str(data)])
+    model_path = tmp_path / "model.json"
+    assert cli.main(["fit", "--estimator", kind, "--space", space,
+                     "--dim", str(dim), "--x", str(data / "X.csv"),
+                     "--y", str(data / "Y.csv"), "--seed", "1",
+                     "--num-trees", "4", "--out", str(model_path)]) == 0
+    queries = np.random.default_rng(3).uniform(size=(6, 2))
     _write_csv(tmp_path / "q.csv", queries)
-    rc = cli.main(["predict", "--model", str(model_path),
-                   "--x", str(tmp_path / "q.csv"),
-                   "--out", str(tmp_path / "p.csv")])
-    assert rc == 0
+    assert cli.main(["predict", "--model", str(model_path),
+                     "--x", str(tmp_path / "q.csv"),
+                     "--out", str(tmp_path / "p.csv")]) == 0
     pred = cli._parse_csv_matrix(str(tmp_path / "p.csv"), header=True)
-    doc = json.loads(model_path.read_text())
-    model = forest.model_from_dict(doc["model"])
-    expected = np.stack([regressors.predict_frf(model, x) for x in queries])
-    # 17 significant digits round-trip every double exactly
-    assert np.array_equal(pred[:, 2:2 + 21], expected)
-    assert np.array_equal(pred[:, -1], np.ones(6))
+    _, model = cli._load_model(str(model_path))
+    predict = getattr(regressors, f"predict_{kind}")
+    for row, x in zip(pred, queries):
+        obj, info = predict(model, x, return_info=True)
+        assert np.array_equal(predict(model, x), obj)
+        w = info["weights"]
+        # 17 significant digits round-trip every double exactly
+        assert np.array_equal(row[2:2 + dim], np.ravel(obj))
+        assert list(row[-4:]) == [int(info["converged"]), np.min(w),
+                                  np.max(w), np.sum(w)]
+        if kind == "frf":
+            assert np.array_equal(w, np.full(4, 0.25))
 
 
 def test_simulate_wasserstein_does_not_load_scipy_stats(tmp_path):

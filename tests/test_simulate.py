@@ -184,10 +184,29 @@ def test_failing_cv_fit_scores_inf_instead_of_failing_the_run(monkeypatch):
         return original(X, Y, space, config)
 
     monkeypatch.setattr(regressors, "fit_forest", fit_or_raise)
-    monkeypatch.setattr(simulate, "fit_forest", fit_or_raise)
     cfg = MonteCarloConfig(runs=1, test_size=20, num_trees=4, cv_trees=3,
                            folds=2, depth_grid=(2, 3), mtry_grid=(2,))
     res = monte_carlo(SimSetting("I-1", p=2, n=40), ["rfwlcfr", "frf"], cfg,
                       seed=5)
     assert res.failures == []
     assert all(math.isfinite(m) for _, _, m in res.rows)
+    # listed fold by fold, each failed fit once per forest kind
+    assert res.cv_failures == [
+        {"run": 0, "estimator": k, "cell": {"max_depth": 2, "mtry": 2},
+         "fold": f, "error": "deliberate CV failure"}
+        for f in range(2) for k in ("rfwlcfr", "frf")]
+
+
+def test_kernel_cv_failures_are_listed_the_same_for_any_jobs():
+    # a 0.01 bandwidth leaves held-out points without kernel mass
+    cfg = MonteCarloConfig(runs=2, test_size=20, folds=2,
+                           bandwidth_grid=(0.01, 0.8))
+    setting = SimSetting("I-1", p=2, n=40)
+    serial = monte_carlo(setting, ["nw"], cfg, seed=3, n_jobs=1)
+    parallel = monte_carlo(setting, ["nw"], cfg, seed=3, n_jobs=2)
+    assert serial.failures == [] and serial.rows == parallel.rows
+    assert serial.cv_failures == parallel.cv_failures
+    assert [(e["run"], e["estimator"], e["cell"], e["fold"])
+            for e in serial.cv_failures] == [
+        (r, "nw", {"bandwidth": 0.01}, f) for r in range(2) for f in range(2)]
+    assert all("no kernel mass" in e["error"] for e in serial.cv_failures)
