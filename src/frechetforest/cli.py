@@ -15,13 +15,11 @@ import math
 import os
 import sys
 import tempfile
-from itertools import product
 
 import numpy as np
 
 from . import forest as forest_mod
 from . import regressors, simulate, spaces
-from . import tree as tree_mod
 from .forest import ForestConfig
 from .tree import TreeConfig
 
@@ -95,17 +93,11 @@ def _parse_csv_matrix(path: str, header: bool) -> np.ndarray:
 
 def rows_to_objects(rows: np.ndarray, space: spaces.MetricSpace) -> np.ndarray:
     """Decode per-space CSV rows (quantiles / row-major matrix / vector)."""
-    if space.kind in (spaces.SPD_LOGCHOLESKY, spaces.SPD_AFFINE):
-        m = space.dim
-        if rows.shape[1] != m * m:
-            raise CliError(f"expected {m * m} values per SPD row, "
-                           f"got {rows.shape[1]}")
-        objs = rows.reshape(len(rows), m, m)
-    else:
-        if rows.shape[1] != space.dim:
-            raise CliError(f"expected {space.dim} values per row, "
-                           f"got {rows.shape[1]}")
-        objs = rows
+    width = math.prod(space.shape)
+    if rows.shape[1] != width:
+        raise CliError(f"expected {width} values per row, "
+                       f"got {rows.shape[1]}")
+    objs = rows.reshape((len(rows),) + space.shape)
     for i, obj in enumerate(objs):
         try:
             spaces.validate_object(space, obj)
@@ -268,13 +260,10 @@ def cmd_tune(args) -> None:
     seed = _require_seed(args)
     data = load_dataset(args.x, args.y, space, args.header)
     if args.estimator in regressors.FOREST_KINDS:
-        depths = args.depth_grid or tree_mod.depth_grid(len(data.X))
-        mtrys = args.mtry_grid or regressors.default_mtry_grid(
-            data.X.shape[1])
-        grid = [{"max_depth": int(d), "mtry": int(m)}
-                for d, m in product(depths, mtrys)]
+        grid = regressors.forest_grid(len(data.X), data.X.shape[1],
+                                      args.depth_grid, args.mtry_grid)
     elif args.estimator in regressors.KERNEL_KINDS:
-        hs = args.bandwidth_grid or [0.05, 0.1, 0.2, 0.4, 0.8]
+        hs = args.bandwidth_grid or regressors.BANDWIDTH_GRID
         grid = [{"bandwidth": float(h)} for h in hs]
     else:
         raise CliError(f"tune does not support estimator {args.estimator!r}")

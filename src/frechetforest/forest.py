@@ -10,7 +10,7 @@ twice counts as two leaf occupants.  Weights are nonnegative and sum to one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -25,26 +25,16 @@ WITHOUT_REPLACEMENT = "without_replacement"
 @dataclass(frozen=True)
 class ForestConfig:
     num_trees: int = 100
-    tree: TreeConfig = field(default_factory=TreeConfig)
     subsample_mode: str = BOOTSTRAP
     subsample_size: Optional[int] = None  # s_n, without-replacement mode only
     master_seed: int = 0
+    tree: TreeConfig = field(default_factory=TreeConfig)  # last in model.json
 
     def __post_init__(self):
         if self.num_trees < 1:
             raise ValueError("num_trees must be >= 1")
         if self.subsample_mode not in (BOOTSTRAP, WITHOUT_REPLACEMENT):
             raise ValueError(f"unknown subsample mode {self.subsample_mode!r}")
-
-    def to_dict(self) -> dict:
-        t = self.tree
-        return {"num_trees": self.num_trees,
-                "subsample_mode": self.subsample_mode,
-                "subsample_size": self.subsample_size,
-                "master_seed": self.master_seed,
-                "tree": {"max_depth": t.max_depth, "min_leaf": t.min_leaf,
-                         "mtry": t.mtry, "split_method": t.split_method,
-                         "honest": t.honest, "seed": t.seed}}
 
     @staticmethod
     def from_dict(d: dict) -> "ForestConfig":
@@ -123,7 +113,7 @@ def kernel_weights(model: ForestModel, x: np.ndarray) -> np.ndarray:
 
 def model_to_dict(model: ForestModel) -> dict:
     return {"space": model.space.to_dict(),
-            "config": model.config.to_dict(),
+            "config": asdict(model.config),
             "trees": [t.to_dict() for t in model.trees],
             "X": model.X.tolist(),
             "Y": model.Y.tolist()}
@@ -134,5 +124,5 @@ def model_from_dict(d: dict) -> ForestModel:
     space = MetricSpace.from_dict(d["space"])
     X = np.asarray(d["X"], dtype=float)
     Y = np.asarray(d["Y"], dtype=float)
-    trees = [FrechetTree.from_dict(td, config.tree) for td in d["trees"]]
+    trees = [FrechetTree.from_dict(td) for td in d["trees"]]
     return ForestModel(trees, X, Y, space, config)

@@ -28,11 +28,13 @@ import numpy as np
 from . import spaces
 from .forest import ForestConfig, ForestModel, fit_forest, kernel_weights
 from .spaces import MetricSpace
-from .tree import TreeConfig, leaf_for, shared_node_sums
+from .tree import TreeConfig, depth_grid, leaf_for, shared_node_sums
 
 FOREST_KINDS = ("rfwlcfr", "rfwllfr", "frf")
 KERNEL_KINDS = ("nw", "lfr_kernel")
 ALL_KINDS = FOREST_KINDS + ("gfr",) + KERNEL_KINDS
+
+BANDWIDTH_GRID = (0.05, 0.1, 0.2, 0.4, 0.8)  # default kernel tuning grid
 
 _RIDGE = 1e-8
 
@@ -283,6 +285,16 @@ def evaluate_mse(predictions: np.ndarray, truths: np.ndarray,
 def default_mtry_grid(p: int) -> list:
     grid = sorted({1, math.ceil(p / 3), math.ceil(math.sqrt(p)), p})
     return [m for m in grid if 1 <= m <= p]
+
+
+def forest_grid(n: int, p: int, depths=None, mtrys=None) -> list:
+    """Forest tuning cells, depth-major.
+
+    The grids default to ``tree.depth_grid(n)`` and ``default_mtry_grid(p)``.
+    """
+    return [{"max_depth": int(d), "mtry": int(m)}
+            for d in depths or depth_grid(n)
+            for m in mtrys or default_mtry_grid(p)]
 
 
 def _kfold_indices(n: int, folds: int, seed: int):

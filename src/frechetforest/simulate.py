@@ -21,14 +21,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import Optional
 
 import numpy as np
 
 from . import regressors
-from . import tree as tree_mod
-from .regressors import FOREST_KINDS, KERNEL_KINDS, evaluate_mse
+from .regressors import (BANDWIDTH_GRID, FOREST_KINDS, KERNEL_KINDS,
+                         evaluate_mse)
 from .spaces import (MetricSpace, matrix_exp, sphere_exp, spd_space,
                      sphere_space, wasserstein_space)
 from .tree import TreeConfig
@@ -50,8 +49,9 @@ class SimSetting:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.p < 2 or self.n < 1:
-            raise ValueError("need p >= 2 and n >= 1")
+        # p > 2 scenarios place four coefficients, so p = 3 has no design
+        if not (self.p == 2 or self.p >= 4) or self.n < 1:
+            raise ValueError("need p = 2 or p >= 4, and n >= 1")
 
     @property
     def noise(self) -> float:
@@ -281,7 +281,7 @@ class MonteCarloConfig:
     folds: int = 5
     depth_grid: Optional[tuple] = None  # None -> 3 .. ceil(log2 n)
     mtry_grid: Optional[tuple] = None   # None -> {1, p/3, sqrt(p), p}
-    bandwidth_grid: tuple = (0.05, 0.1, 0.2, 0.4, 0.8)
+    bandwidth_grid: tuple = BANDWIDTH_GRID
     min_leaf: int = 5
     split_method: str = "two_means"
     honest: bool = False
@@ -293,12 +293,6 @@ class MonteCarloResult:
     summary: dict       # estimator -> {"mean_mse", "sd_mse", "runs"}
     failures: list      # (run, message)
     cv_failures: list   # {"run", "estimator", "cell", "fold", "error"}
-
-
-def _forest_cells(setting: SimSetting, cfg: MonteCarloConfig) -> list:
-    depths = cfg.depth_grid or tuple(tree_mod.depth_grid(setting.n))
-    mtrys = cfg.mtry_grid or tuple(regressors.default_mtry_grid(setting.p))
-    return [{"max_depth": d, "mtry": m} for d, m in product(depths, mtrys)]
 
 
 def run_once(setting: SimSetting, estimators, cfg: MonteCarloConfig,
@@ -317,7 +311,8 @@ def run_once(setting: SimSetting, estimators, cfg: MonteCarloConfig,
                       split_method=cfg.split_method, honest=cfg.honest)
     failed = []  # (estimator, cell, fold, message)
     forest_kinds = [e for e in estimators if e in FOREST_KINDS]
-    cells = _forest_cells(setting, cfg)
+    cells = regressors.forest_grid(setting.n, setting.p, cfg.depth_grid,
+                                   cfg.mtry_grid)
     best = dict.fromkeys(forest_kinds, cells[0])
     if forest_kinds and len(cells) > 1:
         cv = []

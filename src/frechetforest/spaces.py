@@ -60,6 +60,13 @@ class MetricSpace:
         if self.normalization not in ("riemann", "euclidean"):
             raise ValueError(f"unknown normalization {self.normalization!r}")
 
+    @property
+    def shape(self) -> tuple:
+        """Array shape of one object of the space."""
+        if self.kind in (SPD_LOGCHOLESKY, SPD_AFFINE):
+            return (self.dim, self.dim)
+        return (self.dim,)
+
     def to_dict(self) -> dict:
         return {"kind": self.kind, "dim": self.dim,
                 "normalization": self.normalization}
@@ -96,24 +103,17 @@ def validate_object(space: MetricSpace, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if not np.isfinite(y).all():
         raise ValueError("object has non-finite entries")
+    if y.shape != space.shape:
+        raise ValueError(f"expected shape {space.shape}, got {y.shape}")
     if space.kind == WASSERSTEIN:
-        if y.shape != (space.dim,):
-            raise ValueError(f"expected quantile vector of length {space.dim}, "
-                             f"got shape {y.shape}")
         if np.any(np.diff(y) < -1e-9):
             raise ValueError("quantile vector is not nondecreasing")
     elif space.kind in (SPD_LOGCHOLESKY, SPD_AFFINE):
-        m = space.dim
-        if y.shape != (m, m):
-            raise ValueError(f"expected {m}x{m} matrix, got shape {y.shape}")
         if np.max(np.abs(y - y.T)) > max(_SYM_TOL, _SYM_TOL * np.abs(y).max()):
             raise ValueError("matrix is not symmetric")
         # positive definiteness checked by the Cholesky factorization
         cholesky_factor(y)
     elif space.kind == SPHERE:
-        if y.shape != (space.dim,):
-            raise ValueError(f"expected unit vector of length {space.dim}, "
-                             f"got shape {y.shape}")
         if abs(np.linalg.norm(y) - 1.0) > 100 * _UNIT_TOL:
             raise ValueError("vector does not have unit norm")
     return y
@@ -265,8 +265,7 @@ def distance(space: MetricSpace, a: np.ndarray, b: np.ndarray) -> float:
         return float(2.0 * np.arctan2(np.linalg.norm(a - b),
                                       np.linalg.norm(a + b)))
     if space.kind == SPD_LOGCHOLESKY:
-        ea = _logchol_embed_one(a)
-        eb = _logchol_embed_one(b)
+        ea, eb = embed(space, np.stack([a, b]))
         return float(np.linalg.norm(ea - eb))
     # affine-invariant
     _, isq = _sqrt_and_invsqrt(a)
@@ -287,7 +286,7 @@ def dist2_to_point(space: MetricSpace, ystack: np.ndarray, y: np.ndarray) -> np.
         return np.arccos(np.minimum(np.maximum(ystack @ y, -1.0), 1.0)) ** 2
     if space.kind == SPD_LOGCHOLESKY:
         e = embed(space, ystack)
-        ey = _logchol_embed_one(y)
+        ey = embed(space, y[None])[0]
         return np.sum((e - ey) ** 2, axis=1)
     _, isq = _sqrt_and_invsqrt(y)
     mids = np.einsum("ij,njk,kl->nil", isq, ystack, isq)
@@ -310,18 +309,12 @@ def _tril(m: int):
     return np.tril_indices(m, -1)
 
 
-def _logchol_embed_one(y: np.ndarray) -> np.ndarray:
-    L = cholesky_factor(y)
-    return np.concatenate([L[_tril(L.shape[0])], np.log(np.diag(L))])
-
-
 def embed(space: MetricSpace, ystack: np.ndarray) -> np.ndarray:
     """Isometric Euclidean embedding of a stack of objects."""
     if space.kind == WASSERSTEIN:
         return np.sqrt(_wasserstein_scale(space)) * np.asarray(ystack, dtype=float)
     if space.kind == SPD_LOGCHOLESKY:
-        ys = np.asarray(ystack, dtype=float)
-        L = np.linalg.cholesky(ys)
+        L = cholesky_factor(ystack)
         m = space.dim
         tril = _tril(m)
         diag = np.arange(m)
@@ -570,8 +563,12 @@ def _affine_solve(ystack: np.ndarray, wn: np.ndarray, y: np.ndarray):
         GU = G @ U
 
         def candidate(step):
-            d = np.exp(step * lam / 2.0)
-            cand = W / np.outer(d, d)
+            with np.errstate(over="ignore"):
+                d = np.exp(step * lam / 2.0)
+                dd = np.outer(d, d)
+            if not np.isfinite(dd).all():
+                return np.inf, None  # an overflowing step: halve it
+            cand = W / dd
             cand_obj, cand_logs = _whitened_obj_and_logs(cand, wn)
             return cand_obj, (GU * d, cand, cand_logs)
         return candidate

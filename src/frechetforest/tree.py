@@ -37,66 +37,20 @@ _TWO_MEANS_EXACT = 64  # two_means_1d scans every partition up to this size
 _TWO_MEANS_ITERS = 50  # Lloyd iterations above it
 
 
-@dataclass(frozen=True)
-class SplitRule:
-    feature: int
-    kind: str
-    threshold: float = math.nan
-    c_left: float = math.nan
-    c_right: float = math.nan
-
-    def goes_left(self, x: np.ndarray) -> bool:
-        v = x[self.feature]
-        if self.kind == THRESHOLD:
-            return v < self.threshold
-        return abs(v - self.c_left) <= abs(v - self.c_right)
-
-    def mask_left(self, values: np.ndarray) -> np.ndarray:
-        if self.kind == THRESHOLD:
-            return values < self.threshold
-        return np.abs(values - self.c_left) <= np.abs(values - self.c_right)
-
-    def to_dict(self) -> dict:
-        d = {"feature": int(self.feature), "kind": self.kind}
-        if self.kind == THRESHOLD:
-            d["threshold"] = float(self.threshold)
-        else:
-            d["c_left"] = float(self.c_left)
-            d["c_right"] = float(self.c_right)
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "SplitRule":
-        if d["kind"] == THRESHOLD:
-            return SplitRule(d["feature"], THRESHOLD, threshold=d["threshold"])
-        return SplitRule(d["feature"], REPRESENTATIVES,
-                         c_left=d["c_left"], c_right=d["c_right"])
+def goes_left(rule: dict, x: np.ndarray) -> bool:
+    """Whether ``rule`` sends ``x`` to its left child."""
+    v = x[rule["feature"]]
+    if rule["kind"] == THRESHOLD:
+        return v < rule["threshold"]
+    # Python abs: np.abs on a scalar would slow the routing loop
+    return abs(v - rule["c_left"]) <= abs(v - rule["c_right"])
 
 
-@dataclass
-class TreeNode:
-    rule: Optional[SplitRule] = None
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    prediction_indices: Optional[np.ndarray] = None  # leaf only
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.rule is None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"leaf": [int(i) for i in self.prediction_indices]}
-        return {"rule": self.rule.to_dict(),
-                "left": self.left.to_dict(), "right": self.right.to_dict()}
-
-    @staticmethod
-    def from_dict(d: dict) -> "TreeNode":
-        if "leaf" in d:
-            return TreeNode(prediction_indices=np.asarray(d["leaf"], dtype=np.intp))
-        return TreeNode(rule=SplitRule.from_dict(d["rule"]),
-                        left=TreeNode.from_dict(d["left"]),
-                        right=TreeNode.from_dict(d["right"]))
+def mask_left(rule: dict, values: np.ndarray) -> np.ndarray:
+    """:func:`goes_left` over the values of the rule's feature."""
+    if rule["kind"] == THRESHOLD:
+        return values < rule["threshold"]
+    return np.abs(values - rule["c_left"]) <= np.abs(values - rule["c_right"])
 
 
 @dataclass(frozen=True)
@@ -117,29 +71,59 @@ class TreeConfig:
             raise ValueError(f"unknown split method {self.split_method!r}")
 
 
+def _nodes(node: dict, leaf) -> dict:
+    """Copy of a node tree with ``leaf`` applied to every leaf's indices.
+
+    Each rule is rebuilt from the fields of its kind, so a document whose
+    rule lacks one raises ``KeyError`` naming it.
+    """
+    if "leaf" in node:
+        return {"leaf": leaf(node["leaf"])}
+    r = node["rule"]
+    keys = ("threshold",) if r["kind"] == THRESHOLD else ("c_left", "c_right")
+    rule = {k: r[k] for k in ("feature", "kind") + keys}
+    return {"rule": rule, "left": _nodes(node["left"], leaf),
+            "right": _nodes(node["right"], leaf)}
+
+
+def _indices(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.intp)
+
+
 @dataclass
 class FrechetTree:
-    root: TreeNode
-    config: TreeConfig
+    """A grown tree, whose nodes are already its model document.
+
+    A node is a leaf ``{"leaf": indices}``, the training indices (an
+    ``intp`` array, repeated under bootstrap) that share the leaf's kernel
+    weight, or a split ``{"rule": rule, "left": node, "right": node}``.
+    A rule is ``{"feature": j, "kind": "threshold", "threshold": c}``,
+    which sends ``x[j] < c`` left, or ``{"feature": j, "kind":
+    "representatives", "c_left": a, "c_right": b}``, which sends ``x[j]``
+    left when it is at least as close to ``a`` as to ``b``.  ``to_dict``
+    writes the same nodes with the indices as lists.
+    """
+
+    root: dict
     subsample_indices: np.ndarray
     structure_indices: Optional[np.ndarray] = None
     prediction_half: Optional[np.ndarray] = None
 
     def to_dict(self) -> dict:
-        d = {"root": self.root.to_dict(),
-             "subsample": [int(i) for i in self.subsample_indices]}
+        d = {"root": _nodes(self.root, np.ndarray.tolist),
+             "subsample": self.subsample_indices.tolist()}
         if self.structure_indices is not None:
-            d["structure"] = [int(i) for i in self.structure_indices]
-            d["prediction_half"] = [int(i) for i in self.prediction_half]
+            d["structure"] = self.structure_indices.tolist()
+            d["prediction_half"] = self.prediction_half.tolist()
         return d
 
     @staticmethod
-    def from_dict(d: dict, config: TreeConfig) -> "FrechetTree":
-        tree = FrechetTree(TreeNode.from_dict(d["root"]), config,
-                           np.asarray(d["subsample"], dtype=np.intp))
+    def from_dict(d: dict) -> "FrechetTree":
+        tree = FrechetTree(_nodes(d["root"], _indices),
+                           _indices(d["subsample"]))
         if "structure" in d:
-            tree.structure_indices = np.asarray(d["structure"], dtype=np.intp)
-            tree.prediction_half = np.asarray(d["prediction_half"], dtype=np.intp)
+            tree.structure_indices = _indices(d["structure"])
+            tree.prediction_half = _indices(d["prediction_half"])
         return tree
 
 
@@ -341,8 +325,8 @@ def split_two_means(samples: np.ndarray, feature: int, X: np.ndarray,
 
 def best_split(samples: np.ndarray, candidate_features, X: np.ndarray,
                ystack, space: MetricSpace, config: TreeConfig,
-               resp=None) -> Optional[SplitRule]:
-    """Best valid split over candidate features, or None.
+               resp=None) -> Optional[dict]:
+    """Best valid split rule over candidate features, or None.
 
     Validity requires both children to hold at least ``min_leaf`` samples
     and a strictly positive gain.  Ties break toward the lowest feature
@@ -364,7 +348,8 @@ def best_split(samples: np.ndarray, candidate_features, X: np.ndarray,
                 gain = _gain(resp, samples, values < c, total_ss)
                 if gain > best_gain:
                     best_gain = gain
-                    best_rule = SplitRule(j, THRESHOLD, threshold=float(c))
+                    best_rule = {"feature": j, "kind": THRESHOLD,
+                                 "threshold": float(c)}
         else:
             if np.all(values == values[0]):
                 continue
@@ -376,8 +361,8 @@ def best_split(samples: np.ndarray, candidate_features, X: np.ndarray,
             gain = _gain(resp, samples, mask, total_ss)
             if gain > best_gain:
                 best_gain = gain
-                best_rule = SplitRule(j, REPRESENTATIVES,
-                                      c_left=c_lo, c_right=c_hi)
+                best_rule = {"feature": j, "kind": REPRESENTATIVES,
+                             "c_left": c_lo, "c_right": c_hi}
     return best_rule
 
 
@@ -411,42 +396,42 @@ def grow_tree(X: np.ndarray, ystack: np.ndarray, space: MetricSpace,
         pred_half = subsample[perm[half:]]
         structure, prediction = struct_half, pred_half
 
-    def build(struct_idx: np.ndarray, pred_idx: np.ndarray, depth: int) -> TreeNode:
+    def build(struct_idx: np.ndarray, pred_idx: np.ndarray, depth: int) -> dict:
         if (depth >= config.max_depth
                 or len(struct_idx) < 2 * config.min_leaf
                 or len(pred_idx) == 0):
-            return TreeNode(prediction_indices=pred_idx)
+            return {"leaf": pred_idx}
         if mtry < p:
             feats = np.sort(rng.choice(p, size=mtry, replace=False))
         else:
             feats = np.arange(p)
         rule = best_split(struct_idx, feats, X, ystack, space, config, resp=resp)
         if rule is None:
-            return TreeNode(prediction_indices=pred_idx)
-        smask = rule.mask_left(X[struct_idx, rule.feature])
-        pmask = rule.mask_left(X[pred_idx, rule.feature])
+            return {"leaf": pred_idx}
+        smask = mask_left(rule, X[struct_idx, rule["feature"]])
+        pmask = mask_left(rule, X[pred_idx, rule["feature"]])
         left = build(struct_idx[smask], pred_idx[pmask], depth + 1)
         right = build(struct_idx[~smask], pred_idx[~pmask], depth + 1)
         # a side whose prediction set came up empty is merged into its sibling
-        if left.is_leaf and len(left.prediction_indices) == 0:
+        if "leaf" in left and len(left["leaf"]) == 0:
             return right
-        if right.is_leaf and len(right.prediction_indices) == 0:
+        if "leaf" in right and len(right["leaf"]) == 0:
             return left
-        return TreeNode(rule=rule, left=left, right=right)
+        return {"rule": rule, "left": left, "right": right}
 
     root = build(structure, prediction, depth=1)
-    if root.is_leaf and len(root.prediction_indices) == 0:
+    if "leaf" in root and len(root["leaf"]) == 0:
         # only possible for pathological honest subsamples
-        root = TreeNode(prediction_indices=prediction)
-    return FrechetTree(root, config, subsample, struct_half, pred_half)
+        root = {"leaf": prediction}
+    return FrechetTree(root, subsample, struct_half, pred_half)
 
 
 def leaf_for(tree: FrechetTree, x: np.ndarray) -> np.ndarray:
     """Prediction indices of the leaf that contains ``x``."""
     node = tree.root
-    while not node.is_leaf:
-        node = node.left if node.rule.goes_left(x) else node.right
-    return node.prediction_indices
+    while "leaf" not in node:
+        node = node["left"] if goes_left(node["rule"], x) else node["right"]
+    return node["leaf"]
 
 
 def tree_predict(tree: FrechetTree, x: np.ndarray, ystack: np.ndarray,
@@ -461,11 +446,11 @@ def iter_leaves(tree: FrechetTree):
     stack = [tree.root]
     while stack:
         node = stack.pop()
-        if node.is_leaf:
-            yield node.prediction_indices
+        if "leaf" in node:
+            yield node["leaf"]
         else:
-            stack.append(node.right)
-            stack.append(node.left)
+            stack.append(node["right"])
+            stack.append(node["left"])
 
 
 def depth_grid(n: int) -> list:

@@ -1,5 +1,6 @@
 """CLI plumbing: dataset I/O, subcommands, determinism, error reporting."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -146,6 +147,20 @@ def test_bench_table_byte_identical(tmp_path):
                 == (tmp_path / "b" / name).read_bytes())
 
 
+@pytest.mark.parametrize("command", ["simulate", "bench-table"])
+def test_p3_setting_exits_nonzero(tmp_path, capsys, command):
+    extra = (["--estimators", "gfr", "--runs", "2"]
+             if command == "bench-table" else [])
+    rc = cli.main([command, "--scenario", "I-2", "--p", "3", "--n", "30",
+                   "--seed", "0", "--out-dir", str(tmp_path / "out")]
+                  + extra)
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["command"] == command
+    assert "p = 2 or p >= 4" in err["error"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 3, "out_dir": str(tmp_path / "d")}))
@@ -229,6 +244,16 @@ def test_nonfinite_csv_value_names_line(tmp_path):
                      wasserstein_space(1))
 
 
+# a one-tree forest document whose split rule lacks its threshold
+_NO_THRESHOLD = json.dumps({"estimator": "frf", "model": {
+    "space": wasserstein_space(1).to_dict(),
+    "config": dataclasses.asdict(forest.ForestConfig(num_trees=1)),
+    "trees": [{"root": {"rule": {"feature": 0, "kind": "threshold"},
+                        "left": {"leaf": [0]}, "right": {"leaf": [1]}},
+               "subsample": [0, 1]}],
+    "X": [[0.1, 0.2], [0.3, 0.4]], "Y": [[0.0], [1.0]]}})
+
+
 @pytest.mark.parametrize("text, field", [
     ("{}", "estimator"),
     ("[1, 2]", None),
@@ -236,6 +261,7 @@ def test_nonfinite_csv_value_names_line(tmp_path):
     ('{"estimator": "gfr"}', "space"),
     ('{"estimator": "frf", "model": []}', None),
     ("not json", None),
+    (_NO_THRESHOLD, "threshold"),
 ])
 def test_predict_rejects_malformed_model_file(tmp_path, capsys, text, field):
     model = tmp_path / "model.json"

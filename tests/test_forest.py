@@ -1,5 +1,7 @@
 """Forest construction and the random-forest kernel weights."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,8 @@ def scalar_data(y):
     return np.asarray(y, dtype=float).reshape(-1, 1)
 
 
-def single_leaf_tree(indices, config=TreeConfig()):
-    from frechetforest.tree import TreeNode
-    return FrechetTree(TreeNode(prediction_indices=np.asarray(indices)),
-                       config, np.asarray(indices), None, None)
+def single_leaf_tree(indices):
+    return FrechetTree({"leaf": np.asarray(indices)}, np.asarray(indices))
 
 
 def test_kernel_weights_two_tree_example():
@@ -91,7 +91,7 @@ def test_bootstrap_multiset_convention():
     model = fit_forest(X, Y, SCALAR, cfg)
     for t in model.trees:
         # single leaf: weights proportional to bootstrap multiplicity
-        counts = np.bincount(t.root.prediction_indices, minlength=20)
+        counts = np.bincount(t.root["leaf"], minlength=20)
         single = ForestModel([t], X, Y, SCALAR, cfg)
         w = kernel_weights(single, np.array([0.5]))
         assert np.allclose(w, counts / counts.sum(), atol=1e-14)
@@ -164,3 +164,18 @@ def test_model_serialization_roundtrip():
     for x in rng.uniform(size=(10, 2)):
         assert np.allclose(kernel_weights(back, x),
                            kernel_weights(model, x), atol=1e-15)
+
+
+@pytest.mark.parametrize("tree_kw, mode", [
+    ({"split_method": "exhaustive", "honest": True}, "without_replacement"),
+    ({"split_method": "two_means"}, "bootstrap_with_replacement")])
+def test_model_document_roundtrip_is_byte_identical(tree_kw, mode):
+    # byte level, so key order and value types are checked too
+    rng = np.random.default_rng(16)
+    X = rng.uniform(size=(40, 2))
+    Y = scalar_data(rng.normal(size=40))
+    cfg = ForestConfig(num_trees=4, subsample_mode=mode, master_seed=2,
+                       tree=TreeConfig(max_depth=4, min_leaf=3, **tree_kw))
+    doc = model_to_dict(fit_forest(X, Y, SCALAR, cfg))
+    assert any("rule" in t["root"] for t in doc["trees"])
+    assert json.dumps(model_to_dict(model_from_dict(doc))) == json.dumps(doc)

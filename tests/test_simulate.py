@@ -1,6 +1,7 @@
 """Synthetic generators and the Monte-Carlo harness."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,14 @@ def test_evaluate_mse_direct_sum_oracle():
     assert evaluate_mse(a, b, space) == pytest.approx(direct, abs=1e-12)
 
 
+def test_p3_setting_rejected():
+    # the p > 2 coefficient vectors set four entries
+    for scenario in ("I-1", "I-2", "II-1", "III-2"):
+        with pytest.raises(ValueError, match="p = 2 or p >= 4"):
+            SimSetting(scenario, p=3)
+    SimSetting("I-2", p=4)
+
+
 def test_generators_deterministic():
     s = SimSetting("I-2", p=2, n=20)
     d1 = generate(s, np.random.default_rng(11))
@@ -210,3 +219,16 @@ def test_kernel_cv_failures_are_listed_the_same_for_any_jobs():
             for e in serial.cv_failures] == [
         (r, "nw", {"bandwidth": 0.01}, f) for r in range(2) for f in range(2)]
     assert all("no kernel mass" in e["error"] for e in serial.cv_failures)
+
+
+def test_affine_lfr_kernel_steps_do_not_overflow():
+    # signed local-linear kernel weights propose affine steps whose
+    # exp(step * lam / 2) overflows; such a step is halved, not evaluated
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = monte_carlo(SimSetting("II-1", p=2, n=50, spd_metric="affine"),
+                          ["lfr_kernel"],
+                          MonteCarloConfig(runs=2, num_trees=6, cv_trees=4,
+                                           folds=3), seed=17)
+    assert res.failures == []
+    assert res.summary["lfr_kernel"]["runs"] == 2

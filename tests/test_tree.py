@@ -5,8 +5,8 @@ import pytest
 
 from frechetforest import spaces, tree
 from frechetforest.spaces import wasserstein_space, sphere_space
-from frechetforest.tree import (FrechetTree, SplitRule, TreeConfig,
-                                best_split, grow_tree, iter_leaves, leaf_for,
+from frechetforest.tree import (FrechetTree, TreeConfig, best_split,
+                                goes_left, grow_tree, iter_leaves, leaf_for,
                                 split_gain_exhaustive, split_two_means,
                                 tree_predict, two_means_1d)
 
@@ -104,7 +104,7 @@ def test_best_split_tie_breaks_to_lowest_feature():
     Y = scalar_data([0.0, 0.0, 10.0, 10.0])
     cfg = TreeConfig(min_leaf=1, split_method="exhaustive")
     rule = best_split(np.arange(4), [0, 1], X, Y, SCALAR, cfg)
-    assert rule.feature == 0
+    assert rule["feature"] == 0
 
 
 def test_best_split_tie_breaks_to_lowest_cutpoint():
@@ -115,7 +115,7 @@ def test_best_split_tie_breaks_to_lowest_cutpoint():
     assert best_split(np.arange(3), [0], X, Y, SCALAR, cfg) is None
     Y = scalar_data([0.0, 5.0, 5.0])
     rule = best_split(np.arange(3), [0], X, Y, SCALAR, cfg)
-    assert rule.threshold == pytest.approx(0.5)
+    assert rule["threshold"] == pytest.approx(0.5)
 
 
 def test_best_split_recovers_signal_feature():
@@ -125,7 +125,7 @@ def test_best_split_recovers_signal_feature():
                     + 0.1 * rng.normal(size=200))
     cfg = TreeConfig(min_leaf=5, split_method="exhaustive")
     rule = best_split(np.arange(200), [0, 1, 2], X, Y, SCALAR, cfg)
-    assert rule.feature == 1
+    assert rule["feature"] == 1
 
 
 def _reference_best_split(samples, features, X, Y, space, cfg):
@@ -169,7 +169,7 @@ def test_prefix_sum_split_matches_per_threshold_reference(space):
         cfg = TreeConfig(min_leaf=min_leaf, split_method="exhaustive")
         rule = best_split(samples, [0, 1, 2], X, Y, space, cfg)
         want = _reference_best_split(samples, [0, 1, 2], X, Y, space, cfg)
-        got = None if rule is None else (rule.feature, rule.threshold)
+        got = None if rule is None else (rule["feature"], rule["threshold"])
         assert got == want, (trial, n, min_leaf)
 
 
@@ -187,7 +187,7 @@ def test_mirrored_responses_tie_toward_lower_threshold():
         cfg = TreeConfig(min_leaf=1, split_method="exhaustive")
         rule = best_split(np.arange(n), [0], X, Y, space, cfg)
         want = _reference_best_split(np.arange(n), [0], X, Y, space, cfg)
-        assert (rule.feature, rule.threshold) == want, trial
+        assert (rule["feature"], rule["threshold"]) == want, trial
 
 
 def test_identical_partitions_break_toward_lower_feature():
@@ -206,8 +206,8 @@ def test_identical_partitions_break_toward_lower_feature():
         samples = np.sort(rng.integers(0, n, size=n))
         cfg = TreeConfig(min_leaf=3, split_method="exhaustive")
         rule = best_split(samples, [0, 1], X, Y, space, cfg)
-        assert rule.feature == 0, trial
-        assert (rule.feature, rule.threshold) == _reference_best_split(
+        assert rule["feature"] == 0, trial
+        assert (rule["feature"], rule["threshold"]) == _reference_best_split(
             samples, [0, 1], X, Y, space, cfg)
 
 
@@ -222,7 +222,7 @@ def test_curved_space_split_matches_per_threshold_reference():
         cfg = TreeConfig(min_leaf=2, split_method="exhaustive")
         rule = best_split(np.arange(n), [0, 1], X, Y, space, cfg)
         want = _reference_best_split(np.arange(n), [0, 1], X, Y, space, cfg)
-        assert (rule.feature, rule.threshold) == want
+        assert (rule["feature"], rule["threshold"]) == want
 
 
 def test_grow_tree_depth_one_single_leaf():
@@ -230,8 +230,8 @@ def test_grow_tree_depth_one_single_leaf():
     X = rng.uniform(size=(20, 2))
     Y = scalar_data(rng.normal(size=20))
     t = grow_tree(X, Y, SCALAR, np.arange(20), TreeConfig(max_depth=1))
-    assert t.root.is_leaf
-    assert sorted(t.root.prediction_indices) == list(range(20))
+    assert list(t.root) == ["leaf"]
+    assert sorted(t.root["leaf"]) == list(range(20))
 
 
 def test_leaves_partition_subsample():
@@ -284,9 +284,9 @@ def test_leaf_for_routing():
                   TreeConfig(max_depth=5, min_leaf=3))
     for x in rng.uniform(size=(1000, 2)):
         node = t.root
-        while not node.is_leaf:
-            node = node.left if node.rule.goes_left(x) else node.right
-        assert np.array_equal(leaf_for(t, x), node.prediction_indices)
+        while "leaf" not in node:
+            node = node["left"] if goes_left(node["rule"], x) else node["right"]
+        assert np.array_equal(leaf_for(t, x), node["leaf"])
 
 
 def test_training_point_lands_in_own_leaf():
@@ -357,15 +357,16 @@ def test_tree_serialization_roundtrip():
     Y = scalar_data(rng.normal(size=30))
     cfg = TreeConfig(max_depth=4, min_leaf=3)
     t = grow_tree(X, Y, SCALAR, np.arange(30), cfg)
-    back = FrechetTree.from_dict(t.to_dict(), cfg)
+    back = FrechetTree.from_dict(t.to_dict())
     for x in rng.uniform(size=(20, 2)):
         assert np.array_equal(leaf_for(t, x), leaf_for(back, x))
 
 
 def test_split_rule_routing_conventions():
-    thr = SplitRule(0, tree.THRESHOLD, threshold=0.5)
-    assert thr.goes_left(np.array([0.49]))
-    assert not thr.goes_left(np.array([0.5]))
-    rep = SplitRule(0, tree.REPRESENTATIVES, c_left=0.0, c_right=1.0)
-    assert rep.goes_left(np.array([0.5]))  # equidistant sends left
-    assert not rep.goes_left(np.array([0.51]))
+    thr = {"feature": 0, "kind": tree.THRESHOLD, "threshold": 0.5}
+    assert goes_left(thr, np.array([0.49]))
+    assert not goes_left(thr, np.array([0.5]))
+    rep = {"feature": 0, "kind": tree.REPRESENTATIVES,
+           "c_left": 0.0, "c_right": 1.0}
+    assert goes_left(rep, np.array([0.5]))  # equidistant sends left
+    assert not goes_left(rep, np.array([0.51]))
