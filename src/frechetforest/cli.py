@@ -21,7 +21,7 @@ import numpy as np
 from . import forest as forest_mod
 from . import regressors, simulate, spaces
 from .forest import ForestConfig
-from .tree import TreeConfig
+from .tree import TreeConfig, iter_nodes
 
 class CliError(Exception):
     """User-facing failure; rendered as an error JSON and nonzero exit."""
@@ -167,6 +167,13 @@ def _require_seed(args) -> int:
     return int(args.seed)
 
 
+def _sim_setting(args) -> simulate.SimSetting:
+    return simulate.SimSetting(
+        scenario=args.scenario, p=int(args.p), n=int(args.n),
+        sigma=None if args.sigma is None else float(args.sigma),
+        spd_metric=args.spd_metric)
+
+
 def _forest_config(args, seed: int) -> ForestConfig:
     tree = TreeConfig(
         max_depth=int(args.max_depth), min_leaf=int(args.min_leaf),
@@ -221,7 +228,15 @@ def _load_model(path):
         if kind not in regressors.FOREST_KINDS:
             raise CliError(f"unknown estimator {kind!r} in model file",
                            path=path)
-        return kind, forest_mod.model_from_dict(doc["model"])
+        model = forest_mod.model_from_dict(doc["model"])
+        p = model.X.shape[1]
+        for f in (v["rule"]["feature"] for t in model.trees
+                  for v in iter_nodes(t) if "rule" in v):
+            if type(f) is not int or not 0 <= f < p:
+                raise CliError(f"model file {path} splits on feature {f!r}, "
+                               f"not an integer in [0, {p})",
+                               path=path, field="feature")
+        return kind, model
     except KeyError as exc:
         raise CliError(f"model file {path} lacks field {exc.args[0]!r}",
                        path=path, field=exc.args[0])
@@ -286,10 +301,7 @@ def cmd_tune(args) -> None:
 
 def cmd_simulate(args) -> None:
     seed = _require_seed(args)
-    setting = simulate.SimSetting(
-        scenario=args.scenario, p=int(args.p), n=int(args.n),
-        sigma=None if args.sigma is None else float(args.sigma),
-        spd_metric=args.spd_metric)
+    setting = _sim_setting(args)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     dataset = simulate.generate(setting, rng)
     save_dataset(dataset, args.out_dir)
@@ -297,10 +309,7 @@ def cmd_simulate(args) -> None:
 
 def cmd_bench_table(args) -> None:
     seed = _require_seed(args)
-    setting = simulate.SimSetting(
-        scenario=args.scenario, p=int(args.p), n=int(args.n),
-        sigma=None if args.sigma is None else float(args.sigma),
-        spd_metric=args.spd_metric)
+    setting = _sim_setting(args)
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
     for e in estimators:
         if e not in regressors.ALL_KINDS:
@@ -359,14 +368,24 @@ def _add_space(sub):
 def _add_forest(sub):
     sub.add_argument("--num-trees", type=int, default=100)
     sub.add_argument("--max-depth", type=int, default=7)
-    sub.add_argument("--min-leaf", type=int, default=5)
     sub.add_argument("--mtry", type=int, default=None)
-    sub.add_argument("--split-method", default="two_means",
-                     choices=("two_means", "exhaustive"))
-    sub.add_argument("--honest", action="store_true")
+    _add_split(sub)
     sub.add_argument("--subsample-mode", default="bootstrap_with_replacement",
                      choices=("bootstrap_with_replacement",
                               "without_replacement"))
+
+
+def _add_split(sub):
+    sub.add_argument("--min-leaf", type=int, default=5)
+    sub.add_argument("--split-method", default="two_means",
+                     choices=("two_means", "exhaustive"))
+    sub.add_argument("--honest", action="store_true")
+
+
+def _add_cv(sub):
+    sub.add_argument("--folds", type=int, default=5)
+    sub.add_argument("--depth-grid", type=int, nargs="+", default=None)
+    sub.add_argument("--mtry-grid", type=int, nargs="+", default=None)
 
 
 def _add_setting(sub):
@@ -410,10 +429,8 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     tune.add_argument("--x", required=True)
     tune.add_argument("--y", required=True)
     tune.add_argument("--out", required=True)
-    tune.add_argument("--folds", type=int, default=5)
+    _add_cv(tune)
     tune.add_argument("--num-trees", type=int, default=50)
-    tune.add_argument("--depth-grid", type=int, nargs="+", default=None)
-    tune.add_argument("--mtry-grid", type=int, nargs="+", default=None)
     tune.add_argument("--bandwidth-grid", type=float, nargs="+",
                       default=None)
 
@@ -431,13 +448,8 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     bench.add_argument("--runs", type=int, default=20)
     bench.add_argument("--num-trees", type=int, default=100)
     bench.add_argument("--cv-trees", type=int, default=50)
-    bench.add_argument("--folds", type=int, default=5)
-    bench.add_argument("--depth-grid", type=int, nargs="+", default=None)
-    bench.add_argument("--mtry-grid", type=int, nargs="+", default=None)
-    bench.add_argument("--min-leaf", type=int, default=5)
-    bench.add_argument("--split-method", default="two_means",
-                       choices=("two_means", "exhaustive"))
-    bench.add_argument("--honest", action="store_true")
+    _add_cv(bench)
+    _add_split(bench)
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--out-dir", required=True)
 

@@ -9,9 +9,9 @@ node size.  Two split searches are available:
   values of the candidate feature and pick the threshold with the largest
   gain.  Spaces with a Euclidean embedding score all thresholds of a
   feature in one prefix-sum pass and re-score only the near-best ones.
-* ``"two_means"`` -- run 1-D 2-means on the candidate feature; the two
-  cluster centers become representatives and points are routed to the closer
-  one.  This is the default used in simulations.
+* ``"two_means"`` -- run 1-D 2-means on the candidate feature and split at
+  the midpoint of the two centres, so each point goes to the closer centre
+  (ties go left).  This is the default used in simulations.
 
 With ``honest=True`` the subsample is split into a structure half (used to
 place splits) and a prediction half (the only indices stored in leaves, and
@@ -31,26 +31,13 @@ import numpy as np
 from . import spaces
 from .spaces import MetricSpace
 
-THRESHOLD = "threshold"
-REPRESENTATIVES = "representatives"
 _TWO_MEANS_EXACT = 64  # two_means_1d scans every partition up to this size
 _TWO_MEANS_ITERS = 50  # Lloyd iterations above it
 
 
 def goes_left(rule: dict, x: np.ndarray) -> bool:
     """Whether ``rule`` sends ``x`` to its left child."""
-    v = x[rule["feature"]]
-    if rule["kind"] == THRESHOLD:
-        return v < rule["threshold"]
-    # Python abs: np.abs on a scalar would slow the routing loop
-    return abs(v - rule["c_left"]) <= abs(v - rule["c_right"])
-
-
-def mask_left(rule: dict, values: np.ndarray) -> np.ndarray:
-    """:func:`goes_left` over the values of the rule's feature."""
-    if rule["kind"] == THRESHOLD:
-        return values < rule["threshold"]
-    return np.abs(values - rule["c_left"]) <= np.abs(values - rule["c_right"])
+    return x[rule["feature"]] < rule["threshold"]
 
 
 @dataclass(frozen=True)
@@ -74,14 +61,12 @@ class TreeConfig:
 def _nodes(node: dict, leaf) -> dict:
     """Copy of a node tree with ``leaf`` applied to every leaf's indices.
 
-    Each rule is rebuilt from the fields of its kind, so a document whose
-    rule lacks one raises ``KeyError`` naming it.
+    Each rule is rebuilt from its two fields, so a document whose rule
+    lacks one raises ``KeyError`` naming it.
     """
     if "leaf" in node:
         return {"leaf": leaf(node["leaf"])}
-    r = node["rule"]
-    keys = ("threshold",) if r["kind"] == THRESHOLD else ("c_left", "c_right")
-    rule = {k: r[k] for k in ("feature", "kind") + keys}
+    rule = {k: node["rule"][k] for k in ("feature", "threshold")}
     return {"rule": rule, "left": _nodes(node["left"], leaf),
             "right": _nodes(node["right"], leaf)}
 
@@ -97,11 +82,8 @@ class FrechetTree:
     A node is a leaf ``{"leaf": indices}``, the training indices (an
     ``intp`` array, repeated under bootstrap) that share the leaf's kernel
     weight, or a split ``{"rule": rule, "left": node, "right": node}``.
-    A rule is ``{"feature": j, "kind": "threshold", "threshold": c}``,
-    which sends ``x[j] < c`` left, or ``{"feature": j, "kind":
-    "representatives", "c_left": a, "c_right": b}``, which sends ``x[j]``
-    left when it is at least as close to ``a`` as to ``b``.  ``to_dict``
-    writes the same nodes with the indices as lists.
+    A rule ``{"feature": j, "threshold": c}`` sends ``x[j] < c`` left.
+    ``to_dict`` writes the same nodes with the indices as lists.
     """
 
     root: dict
@@ -307,20 +289,9 @@ def two_means_1d(values: np.ndarray):
     return float(lo), float(hi)
 
 
-def split_two_means(samples: np.ndarray, feature: int, X: np.ndarray,
-                    ystack, space: MetricSpace):
-    """Representative split of a node along one feature.
-
-    Returns ``(c_left, c_right, gain)``.
-    """
-    resp = _responses_for(space, ystack)
-    samples = np.asarray(samples, dtype=np.intp)
-    values = X[samples, feature]
-    c_lo, c_hi = two_means_1d(values)
-    mask = np.abs(values - c_lo) <= np.abs(values - c_hi)
-    if mask.all() or not mask.any():
-        raise ValueError("degenerate 2-means partition")
-    return c_lo, c_hi, _gain(resp, samples, mask, resp.node_ss(samples))
+def _midpoint_threshold(c_lo: float, c_hi: float) -> float:
+    """Threshold ``c`` with ``v < c`` exactly when ``v <= (c_lo + c_hi) / 2``."""
+    return math.nextafter((c_lo + c_hi) / 2.0, math.inf)
 
 
 def best_split(samples: np.ndarray, candidate_features, X: np.ndarray,
@@ -344,25 +315,20 @@ def best_split(samples: np.ndarray, candidate_features, X: np.ndarray,
     for j in sorted(int(f) for f in candidate_features):
         values = X[samples, j]
         if config.split_method == "exhaustive":
-            for c in resp.threshold_candidates(samples, values, k):
-                gain = _gain(resp, samples, values < c, total_ss)
-                if gain > best_gain:
-                    best_gain = gain
-                    best_rule = {"feature": j, "kind": THRESHOLD,
-                                 "threshold": float(c)}
+            thresholds = resp.threshold_candidates(samples, values, k)
+        elif np.all(values == values[0]):
+            continue
         else:
-            if np.all(values == values[0]):
-                continue
-            c_lo, c_hi = two_means_1d(values)
-            mask = np.abs(values - c_lo) <= np.abs(values - c_hi)
+            thresholds = [_midpoint_threshold(*two_means_1d(values))]
+        for c in thresholds:
+            mask = values < c
             nl = int(mask.sum())
             if nl < k or n - nl < k:
                 continue
             gain = _gain(resp, samples, mask, total_ss)
             if gain > best_gain:
                 best_gain = gain
-                best_rule = {"feature": j, "kind": REPRESENTATIVES,
-                             "c_left": c_lo, "c_right": c_hi}
+                best_rule = {"feature": j, "threshold": float(c)}
     return best_rule
 
 
@@ -408,8 +374,8 @@ def grow_tree(X: np.ndarray, ystack: np.ndarray, space: MetricSpace,
         rule = best_split(struct_idx, feats, X, ystack, space, config, resp=resp)
         if rule is None:
             return {"leaf": pred_idx}
-        smask = mask_left(rule, X[struct_idx, rule["feature"]])
-        pmask = mask_left(rule, X[pred_idx, rule["feature"]])
+        smask = X[struct_idx, rule["feature"]] < rule["threshold"]
+        pmask = X[pred_idx, rule["feature"]] < rule["threshold"]
         left = build(struct_idx[smask], pred_idx[pmask], depth + 1)
         right = build(struct_idx[~smask], pred_idx[~pmask], depth + 1)
         # a side whose prediction set came up empty is merged into its sibling
@@ -441,16 +407,19 @@ def tree_predict(tree: FrechetTree, x: np.ndarray, ystack: np.ndarray,
     return spaces.weighted_frechet_mean(space, ystack[idx], np.ones(len(idx)))
 
 
-def iter_leaves(tree: FrechetTree):
-    """Yield the prediction-index arrays of every leaf."""
+def iter_nodes(tree: FrechetTree):
+    """Yield every node depth-first, each split before its children."""
     stack = [tree.root]
     while stack:
         node = stack.pop()
-        if "leaf" in node:
-            yield node["leaf"]
-        else:
-            stack.append(node["right"])
-            stack.append(node["left"])
+        yield node
+        if "leaf" not in node:
+            stack += (node["right"], node["left"])
+
+
+def iter_leaves(tree: FrechetTree):
+    """Yield the prediction-index arrays of every leaf."""
+    return (node["leaf"] for node in iter_nodes(tree) if "leaf" in node)
 
 
 def depth_grid(n: int) -> list:

@@ -244,14 +244,19 @@ def test_nonfinite_csv_value_names_line(tmp_path):
                      wasserstein_space(1))
 
 
-# a one-tree forest document whose split rule lacks its threshold
-_NO_THRESHOLD = json.dumps({"estimator": "frf", "model": {
-    "space": wasserstein_space(1).to_dict(),
-    "config": dataclasses.asdict(forest.ForestConfig(num_trees=1)),
-    "trees": [{"root": {"rule": {"feature": 0, "kind": "threshold"},
-                        "left": {"leaf": [0]}, "right": {"leaf": [1]}},
-               "subsample": [0, 1]}],
-    "X": [[0.1, 0.2], [0.3, 0.4]], "Y": [[0.0], [1.0]]}})
+def _one_split_model(rule):
+    """A one-tree forest document (p = 2) whose root splits by ``rule``."""
+    return json.dumps({"estimator": "frf", "model": {
+        "space": wasserstein_space(1).to_dict(),
+        "config": dataclasses.asdict(forest.ForestConfig(num_trees=1)),
+        "trees": [{"root": {"rule": rule,
+                            "left": {"leaf": [0]}, "right": {"leaf": [1]}},
+                   "subsample": [0, 1]}],
+        "X": [[0.1, 0.2], [0.3, 0.4]], "Y": [[0.0], [1.0]]}})
+
+
+# a split rule that lacks its threshold
+_NO_THRESHOLD = _one_split_model({"feature": 0, "kind": "threshold"})
 
 
 @pytest.mark.parametrize("text, field", [
@@ -262,6 +267,18 @@ _NO_THRESHOLD = json.dumps({"estimator": "frf", "model": {
     ('{"estimator": "frf", "model": []}', None),
     ("not json", None),
     (_NO_THRESHOLD, "threshold"),
+    # a two-means rule written before rules were thresholds
+    pytest.param(_one_split_model({"feature": 0, "kind": "representatives",
+                                   "c_left": 0.2, "c_right": 0.8}),
+                 "threshold", id="representatives-threshold"),
+    pytest.param(_one_split_model({"feature": 7, "threshold": 0.5}),
+                 "feature", id="feature-7-of-2"),
+    pytest.param(_one_split_model({"feature": -1, "threshold": 0.5}),
+                 "feature", id="feature-negative"),
+    pytest.param(_one_split_model({"feature": 1.0, "threshold": 0.5}),
+                 "feature", id="feature-float"),
+    pytest.param(_one_split_model({"feature": True, "threshold": 0.5}),
+                 "feature", id="feature-bool"),
 ])
 def test_predict_rejects_malformed_model_file(tmp_path, capsys, text, field):
     model = tmp_path / "model.json"
@@ -308,6 +325,24 @@ def test_model_document_data_keys(tmp_path, capsys):
     path = _fit_small_model(tmp_path, "frf")
     doc = json.loads(path.read_text())
     assert "data_included" not in doc["model"]
+    # two-means and exhaustive rules alike are a feature and a threshold
+    exhaustive = tmp_path / "exhaustive.json"
+    data = tmp_path / "data"
+    assert cli.main(["fit", "--estimator", "frf", "--space", "wasserstein",
+                     "--dim", "21", "--x", str(data / "X.csv"),
+                     "--y", str(data / "Y.csv"), "--seed", "1",
+                     "--num-trees", "4", "--split-method", "exhaustive",
+                     "--out", str(exhaustive)]) == 0
+    for d in (doc, json.loads(exhaustive.read_text())):
+        stack = [t["root"] for t in d["model"]["trees"]]
+        rules = 0
+        while stack:
+            node = stack.pop()
+            if "rule" in node:
+                assert set(node["rule"]) == {"feature", "threshold"}
+                stack += (node["left"], node["right"])
+                rules += 1
+        assert rules > 0
     _write_csv(tmp_path / "q.csv", [[0.1, 0.2]])
     argv = ["predict", "--model", str(path), "--x", str(tmp_path / "q.csv"),
             "--out", str(tmp_path / "p.csv")]

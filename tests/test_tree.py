@@ -7,8 +7,8 @@ from frechetforest import spaces, tree
 from frechetforest.spaces import wasserstein_space, sphere_space
 from frechetforest.tree import (FrechetTree, TreeConfig, best_split,
                                 goes_left, grow_tree, iter_leaves, leaf_for,
-                                split_gain_exhaustive, split_two_means,
-                                tree_predict, two_means_1d)
+                                split_gain_exhaustive, tree_predict,
+                                two_means_1d)
 
 SCALAR = wasserstein_space(1)  # Euclidean-degenerate space
 
@@ -85,8 +85,34 @@ def test_split_two_means_zero_gain_identical_y():
     rng = np.random.default_rng(3)
     X = rng.uniform(size=(10, 1))
     Y = scalar_data(np.full(10, 4.0))
-    _, _, gain = split_two_means(np.arange(10), 0, X, Y, SCALAR)
+    c = tree._midpoint_threshold(*two_means_1d(X[:, 0]))
+    gain = split_gain_exhaustive(np.arange(10), 0, c, X, Y, SCALAR)
     assert gain == pytest.approx(0.0, abs=1e-12)
+
+
+def test_midpoint_threshold_sends_values_to_the_closer_centre():
+    rng = np.random.default_rng(16)
+    for _ in range(500):
+        a, b = np.sort(rng.uniform(size=2))
+        if a == b:
+            continue
+        m = (a + b) / 2.0
+        c = tree._midpoint_threshold(a, b)
+        near = m + np.spacing(m) * np.arange(-8, 9)
+        values = np.concatenate([rng.uniform(size=200), near])
+        # exact: below the threshold means at most the computed midpoint
+        assert np.array_equal(values < c, values <= m)
+        far = np.abs(values - m) > 4 * np.spacing(m)
+        closer = np.abs(values - a) <= np.abs(values - b)
+        assert np.array_equal((values < c)[far], closer[far])
+    for _ in range(200):
+        a, b = np.sort(rng.choice(np.arange(-50, 51), size=2, replace=False))
+        if (a + b) % 2:
+            b += 1
+        grid = np.arange(a - 3, b + 4, dtype=float)
+        c = tree._midpoint_threshold(float(a), float(b))
+        assert (a + b) / 2.0 < c  # the equidistant integer goes left
+        assert np.array_equal(grid < c, np.abs(grid - a) <= np.abs(grid - b))
 
 
 def test_best_split_pure_node():
@@ -363,10 +389,9 @@ def test_tree_serialization_roundtrip():
 
 
 def test_split_rule_routing_conventions():
-    thr = {"feature": 0, "kind": tree.THRESHOLD, "threshold": 0.5}
+    thr = {"feature": 0, "threshold": 0.5}
     assert goes_left(thr, np.array([0.49]))
     assert not goes_left(thr, np.array([0.5]))
-    rep = {"feature": 0, "kind": tree.REPRESENTATIVES,
-           "c_left": 0.0, "c_right": 1.0}
+    rep = {"feature": 0, "threshold": tree._midpoint_threshold(0.0, 1.0)}
     assert goes_left(rep, np.array([0.5]))  # equidistant sends left
     assert not goes_left(rep, np.array([0.51]))
