@@ -229,13 +229,17 @@ def _load_model(path):
             raise CliError(f"unknown estimator {kind!r} in model file",
                            path=path)
         model = forest_mod.model_from_dict(doc["model"])
-        p = model.X.shape[1]
-        for f in (v["rule"]["feature"] for t in model.trees
-                  for v in iter_nodes(t) if "rule" in v):
-            if type(f) is not int or not 0 <= f < p:
-                raise CliError(f"model file {path} splits on feature {f!r}, "
-                               f"not an integer in [0, {p})",
-                               path=path, field="feature")
+        n, p = model.X.shape
+        # checked on the document: loading reads a leaf index 0.5 as 0
+        for v in (v for t in doc["model"]["trees"]
+                  for v in iter_nodes(t["root"])):
+            field, size = ("feature", p) if "rule" in v else ("leaf", n)
+            values = [v["rule"]["feature"]] if "rule" in v else v["leaf"]
+            if not (type(values) is list and values and all(
+                    type(i) is int and 0 <= i < size for i in values)):
+                raise CliError(f"model file {path} has a bad {field}: it "
+                               f"must be integers in [0, {size})",
+                               path=path, field=field)
         return kind, model
     except KeyError as exc:
         raise CliError(f"model file {path} lacks field {exc.args[0]!r}",
@@ -278,8 +282,7 @@ def cmd_tune(args) -> None:
         grid = regressors.forest_grid(len(data.X), data.X.shape[1],
                                       args.depth_grid, args.mtry_grid)
     elif args.estimator in regressors.KERNEL_KINDS:
-        hs = args.bandwidth_grid or regressors.BANDWIDTH_GRID
-        grid = [{"bandwidth": float(h)} for h in hs]
+        grid = regressors.kernel_grid(args.bandwidth_grid)
     else:
         raise CliError(f"tune does not support estimator {args.estimator!r}")
     best, table = regressors.tune_cv(
@@ -337,11 +340,9 @@ def cmd_bench_table(args) -> None:
                  _csv_text(long_rows, ["setting", "method", "run", "mse"]))
     metrics = {
         "setting": label,
-        "estimators": {k: {"mean_mse": result.summary[k]["mean_mse"],
-                           "sd_mse": result.summary[k]["sd_mse"],
-                           "runs": result.summary[k]["runs"]}
-                       for k in estimators},
+        "estimators": result.summary,
         "failures": len(result.failures),
+        "failed_runs": result.failures,
         "cv_failures": result.cv_failures}
     atomic_write(os.path.join(args.out_dir, "metrics.json"),
                  json.dumps(metrics, indent=2, sort_keys=True) + "\n")

@@ -13,8 +13,8 @@ the mean solver's info, plus ``"weights"``: the weights it averaged.
 Baselines (need only the training data):
 
 * ``gfr``        -- global Frechet regression (linear-model weights).
-* ``nw``         -- Nadaraya-Watson with a smoothing kernel.
-* ``lfr_kernel`` -- local-linear Frechet regression with a smoothing kernel.
+* ``nw``         -- Nadaraya-Watson with the Epanechnikov product kernel.
+* ``lfr_kernel`` -- local-linear Frechet regression with the same kernel.
 """
 
 from __future__ import annotations
@@ -180,19 +180,11 @@ def predict_gfr(model: GFRModel, x: np.ndarray, return_info: bool = False):
 # kernel baselines
 
 
-def _kernel_values(u: np.ndarray, kernel: str) -> np.ndarray:
-    if kernel == "epanechnikov":
-        return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
-    if kernel == "gaussian":
-        return np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-    raise ValueError(f"unknown kernel {kernel!r}")
-
-
-def product_kernel_weights(X: np.ndarray, x: np.ndarray, bandwidth: float,
-                           kernel: str = "epanechnikov") -> np.ndarray:
-    """Normalized product-kernel weights K_h(X_i - x)."""
+def product_kernel_weights(X: np.ndarray, x: np.ndarray,
+                           bandwidth: float) -> np.ndarray:
+    """Normalized Epanechnikov product-kernel weights K_h(X_i - x)."""
     u = (np.asarray(X, dtype=float) - np.asarray(x, dtype=float)) / bandwidth
-    w = np.prod(_kernel_values(u, kernel), axis=1)
+    w = np.prod(np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0), axis=1)
     total = w.sum()
     if total <= 0:
         raise ValueError("no kernel mass at the query point; "
@@ -201,18 +193,16 @@ def product_kernel_weights(X: np.ndarray, x: np.ndarray, bandwidth: float,
 
 
 def predict_nw(X: np.ndarray, Y: np.ndarray, space: MetricSpace,
-               x: np.ndarray, bandwidth: float,
-               kernel: str = "epanechnikov") -> np.ndarray:
+               x: np.ndarray, bandwidth: float) -> np.ndarray:
     """Nadaraya-Watson Frechet prediction."""
-    w = product_kernel_weights(X, x, bandwidth, kernel)
+    w = product_kernel_weights(X, x, bandwidth)
     return spaces.weighted_frechet_mean(space, np.asarray(Y, dtype=float), w)
 
 
 def predict_lfr_kernel(X: np.ndarray, Y: np.ndarray, space: MetricSpace,
-                       x: np.ndarray, bandwidth: float,
-                       kernel: str = "epanechnikov") -> np.ndarray:
+                       x: np.ndarray, bandwidth: float) -> np.ndarray:
     """Local-linear Frechet prediction with smoothing-kernel weights."""
-    w = product_kernel_weights(X, x, bandwidth, kernel)
+    w = product_kernel_weights(X, x, bandwidth)
     t = local_linear_weights(X, x, w)
     return spaces.weighted_frechet_mean(space, np.asarray(Y, dtype=float), t)
 
@@ -246,7 +236,7 @@ def fit_cell(kind: str, X: np.ndarray, Y: np.ndarray, space: MetricSpace,
     """Fitted state of ``kind`` on one grid cell, for :func:`predict_batch`.
 
     One forest (master seed ``seed``) serves every forest kind; ``gfr``
-    ignores the cell; a kernel kind keeps the data and the cell's kernel.
+    ignores the cell; a kernel kind keeps the data and the cell's bandwidth.
     """
     if kind in FOREST_KINDS:
         tcfg = replace(base_tree, max_depth=cell["max_depth"],
@@ -256,8 +246,7 @@ def fit_cell(kind: str, X: np.ndarray, Y: np.ndarray, space: MetricSpace,
     if kind == "gfr":
         return fit_gfr(X, Y, space)
     if kind in KERNEL_KINDS:
-        return (X, Y, space, cell["bandwidth"],
-                cell.get("kernel", "epanechnikov"))
+        return X, Y, space, cell["bandwidth"]
     raise ValueError(f"unknown estimator {kind!r}")
 
 
@@ -267,9 +256,9 @@ def predict_batch(kind: str, fitted, X_query: np.ndarray) -> np.ndarray:
         return predict_forest_batch(fitted, X_query, kind)
     if kind == "gfr":
         return np.stack([predict_gfr(fitted, x) for x in X_query])
-    X, Y, space, bandwidth, kernel = fitted
+    X, Y, space, bandwidth = fitted
     fn = predict_nw if kind == "nw" else predict_lfr_kernel
-    return np.stack([fn(X, Y, space, x, bandwidth, kernel) for x in X_query])
+    return np.stack([fn(X, Y, space, x, bandwidth) for x in X_query])
 
 
 def evaluate_mse(predictions: np.ndarray, truths: np.ndarray,
@@ -297,6 +286,17 @@ def forest_grid(n: int, p: int, depths=None, mtrys=None) -> list:
             for m in mtrys or default_mtry_grid(p)]
 
 
+def kernel_grid(bandwidths=None) -> list:
+    """Kernel tuning cells; the bandwidths default to ``BANDWIDTH_GRID``."""
+    return [{"bandwidth": float(h)} for h in bandwidths or BANDWIDTH_GRID]
+
+
+def best_cell(grid: list, errors: np.ndarray) -> dict:
+    """The cell whose row of ``errors`` (cells x folds) has the least mean;
+    the first on ties, and a row holding infinity never beats a finite one."""
+    return grid[int(np.argmin([np.mean(row) for row in errors]))]
+
+
 def _kfold_indices(n: int, folds: int, seed: int):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(0xCF,)))
@@ -312,12 +312,14 @@ def cv_errors(X: np.ndarray, Y: np.ndarray, space: MetricSpace, kinds,
     ``kinds`` share one cell family: forest kinds (cells ``{"max_depth",
     "mtry"}``, one forest per cell and fold, seeded ``seed + fold``, shared
     by all of them), ``gfr`` (cells ``{}``) or kernel kinds (cells
-    ``{"bandwidth", "kernel"}``).  Returns ``{kind: array (cells, folds)}``;
-    a fit or prediction that raises ``ValueError`` or ``LinAlgError``
-    scores infinity, and ``failures``, if given a list, receives
-    ``(cell index, fold, kind, str(exc))`` for each such score.  The forests
-    of one fold share their node sums (``tree.shared_node_sums``).
+    ``{"bandwidth"}``).  Returns ``{kind: array (cells, folds)}``; a fit
+    or prediction that raises ``ValueError`` or ``LinAlgError`` scores
+    infinity, and ``failures``, if given a list, receives ``(cell index,
+    fold, kind, str(exc))`` for each such score.  The forests of one fold
+    share their node sums (``tree.shared_node_sums``).
     """
+    if folds < 2:
+        raise ValueError("need at least 2 folds")
     n = len(X)
     errors = {k: np.empty((len(grid), folds)) for k in kinds}
 
@@ -353,13 +355,11 @@ def tune_cv(X: np.ndarray, Y: np.ndarray, space: MetricSpace, kind: str,
     """K-fold cross-validation over a list of hyperparameter cells.
 
     Each cell is a dict: ``{"max_depth", "mtry"}`` for forest kinds,
-    ``{"bandwidth", "kernel"}`` for kernel kinds, ``{}`` for gfr.  Returns
-    ``(best_cell, table)`` where the table lists per-cell mean and sd of the
-    held-out Frechet MSE.  A failing cell scores infinity; its row's
-    ``failures`` lists ``(fold, message)`` for each fold that raised.
+    ``{"bandwidth"}`` for kernel kinds, ``{}`` for gfr.  Returns
+    ``(best_cell(grid, errors), table)`` where the table lists per-cell mean
+    and sd of the held-out Frechet MSE.  A failing cell scores infinity; its
+    row's ``failures`` lists ``(fold, message)`` for each fold that raised.
     """
-    if folds < 2:
-        raise ValueError("need at least 2 folds")
     if not grid:
         raise ValueError("empty tuning grid")
     failures = []
@@ -372,6 +372,4 @@ def tune_cv(X: np.ndarray, Y: np.ndarray, space: MetricSpace, kind: str,
               if len(row) > 1 and np.all(np.isfinite(row)) else math.nan,
               "failures": [(f, msg) for c, f, _, msg in failures if c == ci]}
              for ci, (cell, row) in enumerate(zip(grid, errors))]
-    means = [row["mean_error"] for row in table]
-    best = int(np.argmin(means))  # argmin keeps the first (lowest) index on ties
-    return grid[best], table
+    return best_cell(grid, errors), table

@@ -26,8 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import regressors
-from .regressors import (BANDWIDTH_GRID, FOREST_KINDS, KERNEL_KINDS,
-                         evaluate_mse)
+from .regressors import FOREST_KINDS, KERNEL_KINDS, evaluate_mse
 from .spaces import (MetricSpace, matrix_exp, sphere_exp, spd_space,
                      sphere_space, wasserstein_space)
 from .tree import TreeConfig
@@ -281,7 +280,7 @@ class MonteCarloConfig:
     folds: int = 5
     depth_grid: Optional[tuple] = None  # None -> 3 .. ceil(log2 n)
     mtry_grid: Optional[tuple] = None   # None -> {1, p/3, sqrt(p), p}
-    bandwidth_grid: tuple = BANDWIDTH_GRID
+    bandwidth_grid: Optional[tuple] = None  # None -> BANDWIDTH_GRID
     min_leaf: int = 5
     split_method: str = "two_means"
     honest: bool = False
@@ -291,7 +290,7 @@ class MonteCarloConfig:
 class MonteCarloResult:
     rows: list          # (run, estimator, mse)
     summary: dict       # estimator -> {"mean_mse", "sd_mse", "runs"}
-    failures: list      # (run, message)
+    failures: list      # {"run", "error"} of each run that raised
     cv_failures: list   # {"run", "estimator", "cell", "fold", "error"}
 
 
@@ -309,32 +308,34 @@ def run_once(setting: SimSetting, estimators, cfg: MonteCarloConfig,
     cv_seed = seed * 1000003 + run_index
     base = TreeConfig(min_leaf=cfg.min_leaf,
                       split_method=cfg.split_method, honest=cfg.honest)
-    failed = []  # (estimator, cell, fold, message)
-    forest_kinds = [e for e in estimators if e in FOREST_KINDS]
-    cells = regressors.forest_grid(setting.n, setting.p, cfg.depth_grid,
-                                   cfg.mtry_grid)
-    best = dict.fromkeys(forest_kinds, cells[0])
-    if forest_kinds and len(cells) > 1:
+    failed = []  # the cv_failures entries of this run
+    best = {}
+    for family, grid in (
+            (FOREST_KINDS, regressors.forest_grid(
+                setting.n, setting.p, cfg.depth_grid, cfg.mtry_grid)),
+            (KERNEL_KINDS, regressors.kernel_grid(cfg.bandwidth_grid))):
+        kinds = [e for e in estimators if e in family]
+        best.update(dict.fromkeys(kinds, grid[0]))
+        if not kinds or len(grid) == 1:
+            continue
         cv = []
         errors = regressors.cv_errors(
-            train.X, train.Y, train.space, forest_kinds, cells, cfg.folds,
-            cv_seed, cfg.cv_trees, base, cv)
-        failed += [(k, cells[ci], f, msg) for ci, f, k, msg in cv]
-        for k in forest_kinds:
-            score = np.zeros(len(cells))
-            # summed fold by fold: rounding can decide near-ties
-            for f in range(cfg.folds):
-                score += errors[k][:, f] / cfg.folds
-            best[k] = cells[int(np.argmin(score))]
+            train.X, train.Y, train.space, kinds, grid, cfg.folds, cv_seed,
+            cfg.cv_trees, base, cv)
+        failed += [{"run": run_index, "estimator": k, "cell": grid[ci],
+                    "fold": f, "error": msg} for ci, f, k, msg in cv]
+        if family is KERNEL_KINDS:  # every test point needs kernel mass
+            for ci, h in enumerate(cell["bandwidth"] for cell in grid):
+                try:
+                    for x in test.X:
+                        regressors.product_kernel_weights(train.X, x, h)
+                except ValueError:
+                    for k in kinds:
+                        errors[k][ci] = math.inf
+        for k in kinds:
+            best[k] = regressors.best_cell(grid, errors[k])
     out, fitted = {}, {}
     for k in estimators:
-        if k in KERNEL_KINDS:
-            grid = [{"bandwidth": h} for h in cfg.bandwidth_grid]
-            best[k], table = regressors.tune_cv(
-                train.X, train.Y, train.space, k, grid, folds=cfg.folds,
-                seed=cv_seed)
-            failed += [(k, row["cell"], f, msg)
-                       for row in table for f, msg in row["failures"]]
         cell = best.get(k, {})
         # the forest kinds share one final forest per chosen cell
         key = tuple(cell.items()) if k in FOREST_KINDS else k
@@ -344,8 +345,7 @@ def run_once(setting: SimSetting, estimators, cfg: MonteCarloConfig,
                 seed * 7 + run_index)
         preds = regressors.predict_batch(k, fitted[key], test.X)
         out[k] = evaluate_mse(preds, test.truth, train.space)
-    return out, [{"run": run_index, "estimator": k, "cell": cell, "fold": f,
-                  "error": msg} for k, cell, f, msg in failed]
+    return out, failed
 
 
 def _run_star(args):
@@ -376,7 +376,7 @@ def monte_carlo(setting: SimSetting, estimators, cfg: MonteCarloConfig,
     per_est = {k: [] for k in estimators}
     for r, res in enumerate(raw):
         if isinstance(res, Exception):
-            failures.append((r, str(res)))
+            failures.append({"run": r, "error": str(res)})
             continue
         mse, cv = res
         cv_failures += cv

@@ -407,9 +407,9 @@ def tree_predict(tree: FrechetTree, x: np.ndarray, ystack: np.ndarray,
     return spaces.weighted_frechet_mean(space, ystack[idx], np.ones(len(idx)))
 
 
-def iter_nodes(tree: FrechetTree):
-    """Yield every node depth-first, each split before its children."""
-    stack = [tree.root]
+def iter_nodes(root: dict):
+    """Yield every node under ``root`` depth-first, splits before children."""
+    stack = [root]
     while stack:
         node = stack.pop()
         yield node
@@ -419,7 +419,7 @@ def iter_nodes(tree: FrechetTree):
 
 def iter_leaves(tree: FrechetTree):
     """Yield the prediction-index arrays of every leaf."""
-    return (node["leaf"] for node in iter_nodes(tree) if "leaf" in node)
+    return (node["leaf"] for node in iter_nodes(tree.root) if "leaf" in node)
 
 
 def depth_grid(n: int) -> list:

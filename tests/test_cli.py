@@ -147,6 +147,33 @@ def test_bench_table_byte_identical(tmp_path):
                 == (tmp_path / "b" / name).read_bytes())
 
 
+def test_bench_table_lists_failed_runs_the_same_for_any_jobs(
+        tmp_path, monkeypatch):
+    original = simulate.run_once
+
+    def fail_run_1(setting, estimators, cfg, seed, run_index):
+        if run_index == 1:
+            raise ValueError("deliberate run failure")
+        return original(setting, estimators, cfg, seed, run_index)
+
+    # the worker processes fork after the patch, so they see it too
+    monkeypatch.setattr(simulate, "run_once", fail_run_1)
+    args = ["bench-table", "--scenario", "I-1", "--p", "2", "--n", "30",
+            "--runs", "3", "--estimators", "gfr", "--seed", "8",
+            "--folds", "2"]
+    docs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert cli.main(args + ["--jobs", jobs, "--out-dir", str(out)]) == 0
+        docs.append((out / "metrics.json").read_bytes())
+    assert docs[0] == docs[1]
+    doc = json.loads(docs[0])
+    assert doc["failures"] == 1
+    assert doc["failed_runs"] == [{"run": 1,
+                                   "error": "deliberate run failure"}]
+    assert doc["estimators"]["gfr"]["runs"] == 2
+
+
 @pytest.mark.parametrize("command", ["simulate", "bench-table"])
 def test_p3_setting_exits_nonzero(tmp_path, capsys, command):
     extra = (["--estimators", "gfr", "--runs", "2"]
@@ -244,13 +271,14 @@ def test_nonfinite_csv_value_names_line(tmp_path):
                      wasserstein_space(1))
 
 
-def _one_split_model(rule):
-    """A one-tree forest document (p = 2) whose root splits by ``rule``."""
+def _one_split_model(rule, leaves=([0], [1])):
+    """A one-tree forest document (n = p = 2) whose root splits by ``rule``
+    into two leaves holding ``leaves``."""
     return json.dumps({"estimator": "frf", "model": {
         "space": wasserstein_space(1).to_dict(),
         "config": dataclasses.asdict(forest.ForestConfig(num_trees=1)),
-        "trees": [{"root": {"rule": rule,
-                            "left": {"leaf": [0]}, "right": {"leaf": [1]}},
+        "trees": [{"root": {"rule": rule, "left": {"leaf": leaves[0]},
+                            "right": {"leaf": leaves[1]}},
                    "subsample": [0, 1]}],
         "X": [[0.1, 0.2], [0.3, 0.4]], "Y": [[0.0], [1.0]]}})
 
@@ -279,6 +307,11 @@ _NO_THRESHOLD = _one_split_model({"feature": 0, "kind": "threshold"})
                  "feature", id="feature-float"),
     pytest.param(_one_split_model({"feature": True, "threshold": 0.5}),
                  "feature", id="feature-bool"),
+    *(pytest.param(_one_split_model({"feature": 0, "threshold": 0.5},
+                                    ([0], leaf)), "leaf", id=f"leaf-{name}")
+      for name, leaf in [("5-of-2", [0, 5]), ("negative", [-1]),
+                         ("empty", []), ("float", [0.5]), ("bool", [True]),
+                         ("not-a-list", 1)]),
 ])
 def test_predict_rejects_malformed_model_file(tmp_path, capsys, text, field):
     model = tmp_path / "model.json"

@@ -278,6 +278,26 @@ def test_tune_cv_keeps_the_text_of_each_failed_fold():
     assert table[1]["failures"] == []
 
 
+def test_best_cell_takes_the_first_cell_on_an_exact_tie():
+    grid = [{"bandwidth": 0.1}, {"bandwidth": 0.2}, {"bandwidth": 0.4}]
+    errors = np.array([[3.0, 1.0], [1.0, 2.0], [2.0, 1.0]])
+    assert regressors.best_cell(grid, errors) is grid[1]
+
+
+def test_best_cell_never_prefers_a_row_holding_inf():
+    grid = [{"bandwidth": 0.1}, {"bandwidth": 0.2}]
+    errors = np.array([[0.0, np.inf], [1e300, 1e300]])
+    assert regressors.best_cell(grid, errors) is grid[1]
+    assert regressors.best_cell(grid, np.full((2, 3), np.inf)) is grid[0]
+
+
+def test_kernel_grid_defaults_to_the_bandwidth_grid():
+    assert regressors.kernel_grid() == [
+        {"bandwidth": h} for h in regressors.BANDWIDTH_GRID]
+    assert regressors.kernel_grid([1, 0.5]) == [{"bandwidth": 1.0},
+                                                {"bandwidth": 0.5}]
+
+
 # ---------------------------------------------------------------------------
 # permutation invariance
 

@@ -14,6 +14,7 @@ from frechetforest.simulate import (Dataset, MonteCarloConfig, SimSetting,
                                     monte_carlo, normal_quantile_grid,
                                     quantile_levels, single_beta,
                                     sym_matrix_normal, tangent_basis)
+from frechetforest.tree import TreeConfig
 
 
 def test_betas_match_published_values():
@@ -219,6 +220,70 @@ def test_kernel_cv_failures_are_listed_the_same_for_any_jobs():
             for e in serial.cv_failures] == [
         (r, "nw", {"bandwidth": 0.01}, f) for r in range(2) for f in range(2)]
     assert all("no kernel mass" in e["error"] for e in serial.cv_failures)
+
+
+def test_run_once_fits_the_cells_tune_cv_picks(monkeypatch):
+    from frechetforest import regressors
+    original = regressors.fit_cell
+    final = []  # (kind, cell) of the final fits
+
+    def recording(kind, X, Y, space, cell, num_trees, base_tree, seed):
+        if num_trees == cfg.num_trees:
+            final.append((kind, cell))
+        return original(kind, X, Y, space, cell, num_trees, base_tree, seed)
+
+    monkeypatch.setattr(regressors, "fit_cell", recording)
+    setting = SimSetting("I-1", p=2, n=40)
+    kinds = ["rfwlcfr", "frf", "nw", "lfr_kernel"]
+    cfg = MonteCarloConfig(runs=1, test_size=20, num_trees=4, cv_trees=3,
+                           folds=2, depth_grid=(2, 3), mtry_grid=(1, 2))
+    simulate.run_once(setting, kinds, cfg, seed=4, run_index=1)
+    # the training set and CV seed of run 1 under seed 4
+    train = generate(setting, np.random.default_rng(
+        np.random.SeedSequence(entropy=4, spawn_key=(1,))))
+    base = TreeConfig(min_leaf=cfg.min_leaf)
+    want, keys = [], set()
+    for k in kinds:
+        grid = (regressors.forest_grid(40, 2, (2, 3), (1, 2))
+                if k in regressors.FOREST_KINDS else regressors.kernel_grid())
+        best, _ = regressors.tune_cv(train.X, train.Y, train.space, k, grid,
+                                     folds=2, seed=4 * 1000003 + 1,
+                                     num_trees=3, base_tree=base)
+        # the forest kinds share the final forest of one cell
+        key = tuple(best.items()) if k in regressors.FOREST_KINDS else k
+        if key not in keys:
+            keys.add(key)
+            want.append((k, best))
+    assert final == want
+
+
+def test_kernel_cv_failures_are_listed_fold_then_cell_then_kind():
+    cfg = MonteCarloConfig(runs=1, test_size=20, folds=2,
+                           bandwidth_grid=(0.01, 0.02, 0.8))
+    res = monte_carlo(SimSetting("I-1", p=2, n=40), ["nw", "lfr_kernel"],
+                      cfg, seed=3)
+    assert res.failures == []
+    assert [(e["fold"], e["cell"], e["estimator"])
+            for e in res.cv_failures] == [
+        (f, {"bandwidth": h}, k) for f in range(2) for h in (0.01, 0.02)
+        for k in ("nw", "lfr_kernel")]
+
+
+def test_chosen_bandwidth_gives_every_test_point_kernel_mass():
+    # with the III-2 benchmark sizes, CV alone picks h = 0.2 for seed
+    # 17000, which leaves 3 of the 100 test points without kernel mass
+    res = monte_carlo(SimSetting("III-2", p=2, n=100), ["nw"],
+                      MonteCarloConfig(runs=1, folds=3), seed=17000)
+    assert res.failures == []
+    assert math.isfinite(res.summary["nw"]["mean_mse"])
+
+
+def test_no_bandwidth_with_kernel_mass_still_fails_the_run():
+    cfg = MonteCarloConfig(runs=1, test_size=20, folds=2,
+                           bandwidth_grid=(0.001, 0.002))
+    res = monte_carlo(SimSetting("I-1", p=2, n=40), ["nw"], cfg, seed=3)
+    assert [f["run"] for f in res.failures] == [0]
+    assert "no kernel mass" in res.failures[0]["error"]
 
 
 def test_affine_lfr_kernel_steps_do_not_overflow():
