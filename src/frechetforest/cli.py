@@ -314,10 +314,13 @@ def cmd_bench_table(args) -> None:
     seed = _require_seed(args)
     setting = _sim_setting(args)
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
-    for e in estimators:
+    for i, e in enumerate(estimators):
         if e not in regressors.ALL_KINDS:
             raise CliError(f"unknown estimator {e!r}",
                            choices=list(regressors.ALL_KINDS))
+        if e in estimators[:i]:
+            raise CliError(f"estimator {e!r} is listed more than once",
+                           estimator=e)
     cfg = simulate.MonteCarloConfig(
         runs=int(args.runs), num_trees=int(args.num_trees),
         cv_trees=int(args.cv_trees), folds=int(args.folds),

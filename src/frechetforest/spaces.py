@@ -362,10 +362,11 @@ def weighted_frechet_mean(space: MetricSpace, ystack: np.ndarray,
     but must have a positive total.  For the embedded spaces the minimizer is
     the weighted average in the embedding; the quantile result is projected
     back onto the nondecreasing cone, which is only active for signed
-    weights.  Curved spaces use Riemannian descent with step halving.
-    Non-finite weights or objects raise ``ValueError``.  Objects with weight
-    exactly zero are dropped before solving: they add nothing to the
-    objective or to its gradient.
+    weights.  Curved spaces run one Riemannian descent with step halving
+    from one start, under signed weights too.  Non-finite weights or
+    objects raise ``ValueError``.  Objects with weight exactly zero are
+    dropped before solving: they add nothing to the objective or to its
+    gradient.
     """
     ystack = np.asarray(ystack, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -389,11 +390,10 @@ def weighted_frechet_mean(space: MetricSpace, ystack: np.ndarray,
     elif space.kind == SPD_LOGCHOLESKY:
         out = unembed(space, wn @ embed(space, ystack))
     elif space.kind == SPHERE:
-        out, info = _curved_mean(_sphere_solve, ystack, wn,
-                                 _sphere_start(ystack, wn))
+        out, info = _sphere_solve(ystack, wn, _sphere_start(ystack, wn))
     else:
-        out, info = _curved_mean(_affine_solve, ystack, wn,
-                                 _logchol_start(space, ystack, wn))
+        out, info = _affine_solve(ystack, wn,
+                                  _logchol_start(space, ystack, wn))
     if return_info:
         return out, info
     return out
@@ -421,7 +421,6 @@ def sum_sq_to_mean(space: MetricSpace, ystack: np.ndarray) -> float:
 
 _MAX_ITER = 200
 _OBJ_TOL = 1e-10
-_MULTISTART_CAP = 8
 
 
 def _descend(gradient, line, state, cur: float):
@@ -461,24 +460,6 @@ def _descend(gradient, line, state, cur: float):
             converged = True
             break
     return state, {"converged": converged, "iterations": it, "objective": cur}
-
-
-def _signed_starts(ystack: np.ndarray, wn: np.ndarray) -> list:
-    """Extra descent starts for signed weights (non-convex objective)."""
-    if not np.any(wn < 0):
-        return []
-    order = np.argsort(-np.abs(wn))[:min(len(wn), _MULTISTART_CAP)]
-    return [ystack[i] for i in order]
-
-
-def _curved_mean(solve, ystack: np.ndarray, wn: np.ndarray, start):
-    """Best of the descents from ``start`` and from the signed starts."""
-    best = None
-    for s in [start] + _signed_starts(ystack, wn):
-        cand = solve(ystack, wn, s)
-        if best is None or cand[1]["objective"] < best[1]["objective"]:
-            best = cand
-    return best
 
 
 # --- sphere

@@ -188,6 +188,20 @@ def test_p3_setting_exits_nonzero(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def test_bench_table_rejects_a_repeated_estimator(tmp_path, capsys):
+    # a repeated name would be run and counted once per occurrence
+    rc = cli.main(["bench-table", "--scenario", "I-1", "--p", "2", "--n",
+                   "30", "--runs", "2", "--estimators", "gfr, gfr",
+                   "--seed", "8", "--folds", "2",
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["command"] == "bench-table"
+    assert err["estimator"] == "gfr"
+    assert "more than once" in err["error"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 3, "out_dir": str(tmp_path / "d")}))
