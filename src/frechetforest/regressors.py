@@ -100,7 +100,9 @@ def leaf_means(model: ForestModel, x: np.ndarray) -> np.ndarray:
     """Per-tree predictions at ``x``: the Frechet means of its leaves.
 
     A leaf's equal-weight mean depends only on the model, so each index
-    set is solved once and kept in ``model.leaf_mean_cache``.
+    set is solved once and kept in ``model.leaf_mean_cache``.  A leaf
+    whose mean tree growth already solved (``FrechetTree.leaf_means``) is
+    not solved again.
     """
     cache = model.leaf_mean_cache
     out = []
@@ -109,8 +111,11 @@ def leaf_means(model: ForestModel, x: np.ndarray) -> np.ndarray:
         key = idx.tobytes()
         mean = cache.get(key)
         if mean is None:
-            mean = cache[key] = spaces.weighted_frechet_mean(
-                model.space, model.Y[idx], np.ones(len(idx)))
+            mean = t.leaf_means.get(key)
+            if mean is None:
+                mean = spaces.weighted_frechet_mean(model.space, model.Y[idx],
+                                                    np.ones(len(idx)))
+            cache[key] = mean
         out.append(mean)
     return np.stack(out)
 

@@ -19,7 +19,6 @@ fresh test set.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -366,6 +365,9 @@ def monte_carlo(setting: SimSetting, estimators, cfg: MonteCarloConfig,
     estimators = list(estimators)
     tasks = [(setting, estimators, cfg, seed, r) for r in range(cfg.runs)]
     if n_jobs > 1 and cfg.runs > 1:
+        # imported here: it loads multiprocessing, which a serial run and
+        # every other CLI command do without
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             raw = list(pool.map(_run_star, tasks))
     else:

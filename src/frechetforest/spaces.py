@@ -399,7 +399,8 @@ def weighted_frechet_mean(space: MetricSpace, ystack: np.ndarray,
     return out
 
 
-def sum_sq_to_mean(space: MetricSpace, ystack: np.ndarray) -> float:
+def sum_sq_to_mean(space: MetricSpace, ystack: np.ndarray,
+                   return_mean: bool = False):
     """Sum of squared distances from the objects to their Frechet mean.
 
     This is the node impurity of tree growth.  A partition and its mirror
@@ -408,15 +409,22 @@ def sum_sq_to_mean(space: MetricSpace, ystack: np.ndarray) -> float:
     the square-root form of the descent here: fitted trees stay identical
     to those of earlier versions.  ``weighted_frechet_mean`` uses the
     faster moving-frame form, which agrees to rounding.
+
+    With ``return_mean=True`` returns ``(sum, mean)``, where ``mean`` is
+    ``weighted_frechet_mean`` under equal weights, bit for bit, or None for
+    the affine space, whose sum is not measured from that mean.
     """
     ystack = np.asarray(ystack, dtype=float)
     w = np.ones(len(ystack))
     if space.kind != SPD_AFFINE:
-        return frechet_objective(space, ystack, w,
-                                 weighted_frechet_mean(space, ystack, w))
-    wn = w / w.sum()
-    dist2 = _affine_sqrt_dist2(ystack, wn, _logchol_start(space, ystack, wn))
-    return float(w @ dist2)
+        mean = weighted_frechet_mean(space, ystack, w)
+        ss = frechet_objective(space, ystack, w, mean)
+    else:
+        wn = w / w.sum()
+        mean = None
+        ss = float(w @ _affine_sqrt_dist2(ystack, wn,
+                                          _logchol_start(space, ystack, wn)))
+    return (ss, mean) if return_mean else ss
 
 
 _MAX_ITER = 200

@@ -16,6 +16,13 @@ node size.  Two split searches are available:
 With ``honest=True`` the subsample is split into a structure half (used to
 place splits) and a prediction half (the only indices stored in leaves, and
 thus the only ones that can carry kernel weight).
+
+A split engine keeps one record per distinct index set: its sum of
+squares, each feature's best split, and on the sphere the Frechet mean the
+sum was measured from.  Inside :func:`shared_node_sums` the trees grown on
+the same responses share one engine, so cross-validation pays once per
+distinct node, not once per grid cell; a tree keeps the means of the leaves
+that growth solved, so ``frf`` does not solve them again.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import contextvars
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -90,6 +97,8 @@ class FrechetTree:
     subsample_indices: np.ndarray
     structure_indices: Optional[np.ndarray] = None
     prediction_half: Optional[np.ndarray] = None
+    # leaf means that growth already solved, by index bytes; not serialised
+    leaf_means: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         d = {"root": _nodes(self.root, np.ndarray.tolist),
@@ -127,8 +136,53 @@ def _valid_thresholds(sorted_values: np.ndarray, min_leaf: int):
     return mids[ok], n_left[ok]
 
 
-class _EmbeddedResponses:
-    """Sum-of-squares engine for spaces with a Euclidean embedding."""
+@dataclass(slots=True)
+class _Node:
+    """What an engine knows of one index set: its sum of squares, the mean
+    that sum was measured from where the engine solved one (the sphere),
+    and each feature's best ``(gain, threshold)`` (None if no gain is
+    positive) by ``(id(X), split_method, min_leaf, feature)``."""
+
+    ss: float
+    mean: Optional[np.ndarray] = None
+    splits: dict = field(default_factory=dict)
+
+
+class _Responses:
+    """One record per distinct index set.  Holding every ``X`` scored
+    against keeps its ``id`` from being reused while the engine lives, so a
+    split score keyed by that ``id`` is never stale."""
+
+    def __init__(self, space: MetricSpace, ystack: np.ndarray):
+        self.space = space
+        self.ystack = ystack
+        self._ss = {}  # index bytes -> _Node
+        self._xs = {}
+
+    def node(self, idx: np.ndarray) -> _Node:
+        key = idx.tobytes()
+        rec = self._ss.get(key)
+        if rec is None:
+            rec = self._ss[key] = self._solve(idx)
+        return rec
+
+    def split_key(self, X: np.ndarray, config: TreeConfig, j: int) -> tuple:
+        self._xs.setdefault(id(X), X)
+        return id(X), config.split_method, config.min_leaf, j
+
+    def solved_means(self, leaves) -> dict:
+        """The means already solved for these index sets, by index bytes."""
+        keys = (idx.tobytes() for idx in leaves)
+        return {k: self._ss[k].mean for k in keys
+                if k in self._ss and self._ss[k].mean is not None}
+
+
+class _EmbeddedResponses(_Responses):
+    """Sum-of-squares engine for spaces with a Euclidean embedding.
+
+    Sums are cheap here, so only the nodes that ``best_split`` scores get
+    a record.
+    """
 
     # Prefix-sum gains only screen thresholds: those within
     # SCREEN_RTOL * (uncentred sum of squares) / n of the best are re-scored
@@ -136,8 +190,11 @@ class _EmbeddedResponses:
     SCREEN_RTOL = 1e-9
 
     def __init__(self, space: MetricSpace, ystack: np.ndarray):
-        self.ystack = ystack
+        super().__init__(space, ystack)
         self.emb = spaces.embed(space, ystack)
+
+    def _solve(self, idx: np.ndarray) -> _Node:
+        return _Node(self.node_ss(idx))
 
     def node_ss(self, idx: np.ndarray) -> float:
         e = self.emb[idx]
@@ -168,26 +225,21 @@ class _EmbeddedResponses:
         return mids[gain >= gain.max() - self.SCREEN_RTOL * sumsq / n]
 
 
-class _MetricResponses:
+class _MetricResponses(_Responses):
     """Sum-of-squares engine via explicit Frechet-mean solves.
 
     Each index set is solved once per engine: a winning split's children
     come back as the next nodes' totals, and different features often
-    induce the same partition.
+    induce the same partition.  The sphere's record keeps the solved mean,
+    which is a leaf's prediction when the set becomes a leaf.
     """
 
-    def __init__(self, space: MetricSpace, ystack: np.ndarray):
-        self.space = space
-        self.ystack = ystack
-        self._ss = {}
+    def _solve(self, idx: np.ndarray) -> _Node:
+        return _Node(*spaces.sum_sq_to_mean(self.space, self.ystack[idx],
+                                            return_mean=True))
 
     def node_ss(self, idx: np.ndarray) -> float:
-        key = idx.tobytes()
-        ss = self._ss.get(key)
-        if ss is None:
-            ss = self._ss[key] = spaces.sum_sq_to_mean(self.space,
-                                                       self.ystack[idx])
-        return ss
+        return self.node(idx).ss
 
     def threshold_candidates(self, samples: np.ndarray, values: np.ndarray,
                              min_leaf: int) -> np.ndarray:
@@ -200,14 +252,18 @@ _SHARED_ENGINES = contextvars.ContextVar("shared_node_sums", default=None)
 
 @contextmanager
 def shared_node_sums():
-    """Scope in which trees grown on the same responses share node sums.
+    """Scope in which trees grown on the same responses share node records.
 
     Inside the scope, every tree grown on the same space and the same
-    ``ystack`` object uses one engine, so an index set solved for one tree
-    is not solved again for another: the cross-validation forests of one
-    fold draw the same bootstraps in every grid cell.  The responses must
-    not be modified inside the scope.  Sums, and so trees, are those of
-    unshared engines, bit for bit.
+    ``ystack`` object uses one engine, so work done for an index set in one
+    tree is not done again for another: the cross-validation forests of
+    one fold draw the same bootstraps in every grid cell, and so grow the
+    same top nodes.  What is shared per index set is its sum of squares,
+    each feature's best split for a given ``X``, ``split_method`` and
+    ``min_leaf``, and on the sphere the mean solved for the sum.  The
+    responses and every ``X`` must not be modified inside the scope.
+    Sums, split scores, and so trees, are those of unshared engines, bit
+    for bit.
     """
     token = _SHARED_ENGINES.set({})
     try:
@@ -294,6 +350,32 @@ def _midpoint_threshold(c_lo: float, c_hi: float) -> float:
     return math.nextafter((c_lo + c_hi) / 2.0, math.inf)
 
 
+def _feature_split(resp, samples: np.ndarray, values: np.ndarray,
+                   total_ss: float, config: TreeConfig) -> Optional[tuple]:
+    """Best ``(gain, threshold)`` of one feature, the lowest cutpoint on
+    ties, or None when no valid threshold has a positive gain."""
+    k = config.min_leaf
+    n = len(samples)
+    if config.split_method == "exhaustive":
+        thresholds = resp.threshold_candidates(samples, values, k)
+    elif np.all(values == values[0]):
+        return None
+    else:
+        thresholds = [_midpoint_threshold(*two_means_1d(values))]
+    best = None
+    best_gain = 0.0
+    for c in thresholds:
+        mask = values < c
+        nl = int(mask.sum())
+        if nl < k or n - nl < k:
+            continue
+        gain = _gain(resp, samples, mask, total_ss)
+        if gain > best_gain:
+            best_gain = gain
+            best = (gain, float(c))
+    return best
+
+
 def best_split(samples: np.ndarray, candidate_features, X: np.ndarray,
                ystack, space: MetricSpace, config: TreeConfig,
                resp=None) -> Optional[dict]:
@@ -301,34 +383,24 @@ def best_split(samples: np.ndarray, candidate_features, X: np.ndarray,
 
     Validity requires both children to hold at least ``min_leaf`` samples
     and a strictly positive gain.  Ties break toward the lowest feature
-    index, then the lowest cutpoint.
+    index, then the lowest cutpoint.  Each feature's best split is scored
+    once per engine and index set, and kept in the node's record.
     """
     if resp is None:
         resp = _responses_for(space, ystack)
     samples = np.asarray(samples, dtype=np.intp)
-    k = config.min_leaf
-    total_ss = resp.node_ss(samples)
-    n = len(samples)
+    node = resp.node(samples)
     best_rule = None
     best_gain = 0.0
-
     for j in sorted(int(f) for f in candidate_features):
-        values = X[samples, j]
-        if config.split_method == "exhaustive":
-            thresholds = resp.threshold_candidates(samples, values, k)
-        elif np.all(values == values[0]):
-            continue
-        else:
-            thresholds = [_midpoint_threshold(*two_means_1d(values))]
-        for c in thresholds:
-            mask = values < c
-            nl = int(mask.sum())
-            if nl < k or n - nl < k:
-                continue
-            gain = _gain(resp, samples, mask, total_ss)
-            if gain > best_gain:
-                best_gain = gain
-                best_rule = {"feature": j, "threshold": float(c)}
+        key = resp.split_key(X, config, j)
+        if key not in node.splits:
+            node.splits[key] = _feature_split(resp, samples, X[samples, j],
+                                              node.ss, config)
+        score = node.splits[key]
+        if score is not None and score[0] > best_gain:
+            best_gain = score[0]
+            best_rule = {"feature": j, "threshold": score[1]}
     return best_rule
 
 
@@ -389,7 +461,9 @@ def grow_tree(X: np.ndarray, ystack: np.ndarray, space: MetricSpace,
     if "leaf" in root and len(root["leaf"]) == 0:
         # only possible for pathological honest subsamples
         root = {"leaf": prediction}
-    return FrechetTree(root, subsample, struct_half, pred_half)
+    tree = FrechetTree(root, subsample, struct_half, pred_half)
+    tree.leaf_means = resp.solved_means(iter_leaves(tree))
+    return tree
 
 
 def leaf_for(tree: FrechetTree, x: np.ndarray) -> np.ndarray:

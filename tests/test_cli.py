@@ -440,6 +440,19 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_does_not_load_multiprocessing():
+    # only bench-table --jobs > 1 needs a process pool
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, frechetforest.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'multiprocessing' "
+            "or m == 'concurrent.futures.process'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("space,scenario,dim",
                          [("wasserstein", "I-2", 21), ("sphere", "III-2", 3)],
                          ids=["wasserstein", "sphere"])

@@ -6,7 +6,9 @@ sums of ``sum_sq_to_mean`` (bit for bit those of earlier versions), the
 per-index-set ``node_ss`` memo of the curved-space split engine, the
 split sums shared by the cross-validation forests of one fold, the sphere
 descent that carries its angles (checked against the solver of earlier
-versions) and the per-leaf mean cache behind ``predict_frf``.
+versions), the split scores shared by the trees of one scope, and the
+per-leaf means behind ``predict_frf``, read from growth where it solved
+them.
 
 Under signed weights a curved mean is one descent from the usual start,
 like an unsigned one; the objective is then not convex, so a seeded loop
@@ -242,6 +244,40 @@ def test_cached_frf_equals_per_tree_predictions(space):
     reached = {tree.leaf_for(t, x).tobytes()
                for t in model.trees for x in queries}
     assert len(model.leaf_mean_cache) == len(reached)
+
+
+@pytest.mark.parametrize("space,honest",
+                         [(sphere_space(3), False), (sphere_space(3), True),
+                          (spd_space(2, "affine"), False)],
+                         ids=["sphere", "sphere-honest", "affine"])
+def test_frf_reads_leaf_means_from_growth(monkeypatch, space, honest):
+    rng = np.random.default_rng(41)
+    n = 60
+    X = rng.uniform(size=(n, 2))
+    Y = _objects(space, n, rng)
+    model = fit_forest(X, Y, space,
+                       ForestConfig(num_trees=5, master_seed=4,
+                                    tree=TreeConfig(max_depth=4,
+                                                    honest=honest)))
+    queries = rng.uniform(size=(15, 2))
+    expected = [weighted_frechet_mean(
+        space, np.stack([tree_predict(t, x, Y, space) for t in model.trees]),
+        np.ones(len(model.trees))) for x in queries]
+    solves = []
+    original = spaces.weighted_frechet_mean
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spaces, "weighted_frechet_mean", counting)
+    for x, want in zip(queries, expected):
+        solves.clear()
+        assert np.array_equal(regressors.predict_frf(model, x), want)
+        if space.kind == spaces.SPHERE and not honest:
+            # every leaf of a non-honest tree was solved while growing it:
+            # only the second stage is left
+            assert len(solves) == 1
 
 
 # The sphere and affine solvers as they were before the shared descent,
@@ -549,6 +585,56 @@ def test_shared_scope_is_reset_after_cv_and_after_an_error():
             tree._responses_for(space, Y)
             raise RuntimeError("raised inside the scope")
     assert tree._SHARED_ENGINES.get() is None
+
+
+def _grid_forests(Xs, Y, space, split_method, honest, grid) -> list:
+    """JSON of the forest of each X, master seed and grid cell."""
+    docs = []
+    for X in Xs:
+        for seed in (0, 1):
+            for cell in grid:
+                tcfg = TreeConfig(min_leaf=3, split_method=split_method,
+                                  honest=honest, **cell)
+                model = fit_forest(X, Y, space, ForestConfig(
+                    num_trees=3, master_seed=seed, tree=tcfg))
+                docs.append(json.dumps([t.to_dict() for t in model.trees]))
+    return docs
+
+
+@pytest.mark.parametrize("space,split_method,honest", [
+    (sphere_space(3), "two_means", False),
+    (wasserstein_space(5), "exhaustive", False),
+    (spd_space(2, "affine"), "two_means", False),
+    (sphere_space(3), "exhaustive", True),
+    (wasserstein_space(5), "two_means", True)],
+    ids=["sphere", "wasserstein-exhaustive", "affine",
+         "sphere-exhaustive-honest", "wasserstein-honest"])
+def test_shared_split_scores_grow_the_same_trees(monkeypatch, space,
+                                                 split_method, honest):
+    rng = np.random.default_rng(37)
+    n, p = 40, 3
+    Xs = [rng.uniform(size=(n, p)) for _ in range(2)]  # two X, one ystack
+    Y = _objects(space, n, rng)
+    grid = [{"max_depth": d, "mtry": m} for d in (2, 4) for m in (1, p)]
+    scored = []
+
+    def counting(original):
+        def wrapped(*args, **kwargs):
+            scored.append(1)
+            return original(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(tree, "two_means_1d", counting(tree.two_means_1d))
+    for cls in (tree._EmbeddedResponses, tree._MetricResponses):
+        monkeypatch.setattr(cls, "threshold_candidates",
+                            counting(cls.threshold_candidates))
+    unshared = _grid_forests(Xs, Y, space, split_method, honest, grid)
+    unshared_scored = len(scored)
+    scored.clear()
+    with tree.shared_node_sums():
+        shared = _grid_forests(Xs, Y, space, split_method, honest, grid)
+    assert shared == unshared
+    assert 0 < len(scored) < unshared_scored
 
 
 def test_forest_cv_fits_one_forest_per_cell_and_fold(monkeypatch):
