@@ -294,9 +294,14 @@ def cmd_tune(args) -> None:
                               "command": "tune", "cell": row["cell"],
                               "fold": fold, "error": message}),
                   file=sys.stderr)
+    # a cell with a failed fold has no finite score: it is left out
+    scored = [row for row in table if math.isfinite(row["mean_error"])]
+    if not scored:
+        raise CliError("no grid cell scored: every cell has a failed CV fold",
+                       cells=len(grid))
     keys = sorted(grid[0])
     rows = [[row["cell"][k] for k in keys]
-            + [row["mean_error"], row["sd_error"]] for row in table]
+            + [row["mean_error"], row["sd_error"]] for row in scored]
     atomic_write(args.out, _csv_text(rows, keys + ["mean_error", "sd_error"]))
     atomic_write(os.path.splitext(args.out)[0] + "_best.json",
                  json.dumps(best) + "\n")

@@ -13,6 +13,9 @@ The first two spaces admit a global Euclidean embedding in which the metric
 is the ordinary Euclidean distance, so weighted means reduce to weighted
 averages in the embedding.  The sphere and the affine-invariant geometry are
 genuinely curved and use an iterative Riemannian descent solver.
+``weighted_frechet_means`` solves many weight rows over one stack; on the
+sphere it runs one vectorised descent, which agrees with the single-problem
+``weighted_frechet_mean`` within 1e-6.
 
 Objects are plain numpy arrays: a length-``m`` nondecreasing vector, an
 ``m x m`` SPD matrix, or a unit vector.  Collections of objects are stacked
@@ -427,8 +430,69 @@ def sum_sq_to_mean(space: MetricSpace, ystack: np.ndarray,
     return (ss, mean) if return_mean else ss
 
 
+def weighted_frechet_means(space: MetricSpace, ystack: np.ndarray,
+                           W: np.ndarray, return_info: bool = False):
+    """The weighted Frechet means of every row of ``W`` (K x n).
+
+    ``ystack`` is one stack of n objects shared by every row, or a stack
+    per row (K x n x ...).  Each row is the problem of
+    :func:`weighted_frechet_mean`, with its checks and error messages.  On
+    the sphere one vectorised descent solves all rows: ``_descend``'s policy
+    with a step per row, from ``_sphere_start``'s start, a row frozen once
+    it has converged.  It agrees with the single solve to rounding, and a
+    row's result does not depend on the other rows of the batch.  Other
+    spaces solve row by row with :func:`weighted_frechet_mean`.  With
+    ``return_info=True`` returns ``(means, info)``, where ``info`` holds
+    per-row arrays ``converged``, ``iterations`` and ``objective`` (under
+    the weights normalised to total 1).
+    """
+    ystack = np.asarray(ystack, dtype=float)
+    W = np.asarray(W, dtype=float)
+    shared = ystack.ndim == len(space.shape) + 1
+    n = ystack.shape[0 if shared else 1]
+    if W.ndim != 2 or W.shape[1] != n or not (shared or len(ystack) == len(W)):
+        raise ValueError("weights and objects have different lengths")
+    if space.kind != SPHERE:
+        means, infos = [], []
+        for k, w in enumerate(W):
+            ys = ystack if shared else ystack[k]
+            out, info = weighted_frechet_mean(space, ys, w, return_info=True)
+            if return_info and "objective" not in info:
+                info["objective"] = frechet_objective(space, ys, w / w.sum(),
+                                                      out)
+            means.append(out)
+            infos.append(info)
+        means = np.stack(means)
+        if not return_info:
+            return means
+        return means, {key: np.array([info[key] for info in infos])
+                       for key in ("converged", "iterations", "objective")}
+    totals = W.sum(axis=1)
+    finite = np.isfinite(totals) & np.isfinite(
+        ystack.sum() if shared else ystack.reshape(len(W), -1).sum(axis=1))
+    ok = finite & (totals > 0) & np.any(W != 0, axis=1)
+    if not ok.all():  # the first failing row's message, as row by row
+        k = int(np.argmin(ok))
+        raise ValueError("weights and objects must be finite" if not finite[k]
+                         else "total weight must be positive")
+    # blocks of rows bound the (rows, n) working arrays of the descent
+    rows = max(1, _BLOCK_ENTRIES // n)
+    blocks = [_sphere_solve_rows(ystack if shared else ystack[s:s + rows],
+                                 W[s:s + rows] / totals[s:s + rows, None])
+              for s in range(0, len(W), rows)]
+    means, converged, iterations, objective = (np.concatenate(parts)
+                                               for parts in zip(*blocks))
+    if return_info:
+        return means, {"converged": converged, "iterations": iterations,
+                       "objective": objective}
+    return means
+
+
+_BLOCK_ENTRIES = 4096
 _MAX_ITER = 200
 _OBJ_TOL = 1e-10
+_GRAD_TOL = 1e-14
+_STEP_FLOOR = 1e-12
 
 
 def _descend(gradient, line, state, cur: float):
@@ -437,23 +501,24 @@ def _descend(gradient, line, state, cur: float):
     A geometry supplies the start ``state`` with its objective ``cur``,
     ``gradient(state)``, and ``line(state, v)``, which returns the
     candidate ``step -> (objective, state)`` along the negative gradient
-    ``v``.  The solve converges at a gradient norm below 1e-14; otherwise a
-    step is halved until the objective drops (down to a floor of 1e-12,
-    below which the solve stops), and the next iteration starts from twice
-    the accepted step, capped at 1.  It also stops when an accepted step
-    improves by less than ``_OBJ_TOL``, and unconverged after ``_MAX_ITER``
-    iterations.  Returns the final state and the solver info.
+    ``v``.  The solve converges at a gradient norm below ``_GRAD_TOL``;
+    otherwise a step is halved until the objective drops (down to
+    ``_STEP_FLOOR``, below which the solve stops), and the next iteration
+    starts from twice the accepted step, capped at 1.  It also stops when
+    an accepted step improves by less than ``_OBJ_TOL``, and unconverged
+    after ``_MAX_ITER`` iterations.  Returns the final state and the solver
+    info.  ``_sphere_solve_rows`` applies the same policy to many rows.
     """
     step = 1.0
     converged = False
     it = 0
     for it in range(1, _MAX_ITER + 1):
         v = gradient(state)
-        if _norm(v.ravel(order="K")) < 1e-14:
+        if _norm(v.ravel(order="K")) < _GRAD_TOL:
             converged = True
             break
         candidate = line(state, v)
-        while step >= 1e-12:
+        while step >= _STEP_FLOOR:
             cand_obj, cand_state = candidate(step)
             if cand_obj < cur:
                 break
@@ -511,6 +576,86 @@ def _sphere_solve(ystack: np.ndarray, wn: np.ndarray, y: np.ndarray):
     cur, state = evaluate(y)
     (p, _, _), info = _descend(gradient, line, state, cur)
     return p, info
+
+
+def _sphere_solve_rows(ystack: np.ndarray, wn: np.ndarray):
+    """``_sphere_solve`` from ``_sphere_start`` for every row of ``wn``.
+
+    Each row keeps its own iterate, angles, objective and step; an
+    iteration works on the rows that have not converged.  Only elementwise
+    products and row sums are used, never a matrix product, so no
+    (K, n, d) array is built for a shared stack and a row's arithmetic
+    does not depend on the other rows.  The gradient ``sum_i c_i (Y_i -
+    dots_i p)`` uses ``c_i = wn_i theta_i / sin(theta_i)`` (0 where the sine
+    is below 1e-15, as ``_sphere_logs`` treats a vanishing projection).
+    Returns the means, ``converged``, ``iterations`` and ``objective``.
+    """
+    shared = ystack.ndim == 2
+    d = ystack.shape[-1]
+
+    def combine(c, rows):  # sum_i c_ri Y_ri, shape (r, d)
+        ys = ystack if shared else ystack[rows]
+        return np.stack([np.add.reduce(c * ys[..., j], axis=1)
+                         for j in range(d)], axis=1)
+
+    def evaluate(p, rows):
+        ys = ystack if shared else ystack[rows]
+        dots = ys[..., 0] * p[:, :1]
+        for j in range(1, d):
+            dots += ys[..., j] * p[:, j:j + 1]
+        dots = np.minimum(np.maximum(dots, -1.0), 1.0)
+        theta = np.arccos(dots)
+        return np.add.reduce(wn[rows] * theta ** 2, axis=1), dots, theta
+
+    def row_norms(v):
+        return np.sqrt(np.add.reduce(v * v, axis=1))
+
+    rows = np.arange(len(wn))
+    extrinsic = combine(wn, rows)
+    norm = row_norms(extrinsic)
+    far = norm < 1e-6
+    p = extrinsic / np.where(far, 1.0, norm)[:, None]
+    if far.any():
+        top = np.argmax(wn[far], axis=1)
+        p[far] = ystack[top] if shared else ystack[rows[far], top]
+    cur, dots, theta = evaluate(p, rows)
+    step = np.ones(len(wn))
+    converged = np.zeros(len(wn), dtype=bool)
+    iterations = np.zeros(len(wn), dtype=int)
+    for it in range(1, _MAX_ITER + 1):
+        a = np.flatnonzero(~converged)
+        if not a.size:
+            break
+        iterations[a] = it
+        sin = np.sin(theta[a])
+        c = wn[a] * np.divide(theta[a], sin, out=np.zeros_like(sin),
+                              where=sin > 1e-15)
+        v = combine(c, a) - np.add.reduce(c * dots[a], axis=1)[:, None] * p[a]
+        v -= np.add.reduce(v * p[a], axis=1)[:, None] * p[a]
+        flat = row_norms(v) < _GRAD_TOL
+        converged[a[flat]] = True
+        a, v = a[~flat], v[~flat]
+        while a.size:  # step halving, the rows that have not moved yet
+            t = step[a, None] * v
+            tn = row_norms(t)
+            moves = tn >= 1e-15
+            cand = (np.cos(tn)[:, None] * p[a] + np.sin(tn)[:, None] * t
+                    / np.where(moves, tn, 1.0)[:, None])
+            cand /= row_norms(cand)[:, None]
+            cand[~moves] = p[a[~moves]]
+            obj, cand_dots, cand_theta = evaluate(cand, a)
+            down = obj < cur[a]
+            r = a[down]
+            converged[r[cur[r] - obj[down] < _OBJ_TOL]] = True
+            p[r], dots[r], theta[r], cur[r] = (cand[down], cand_dots[down],
+                                               cand_theta[down], obj[down])
+            step[r] = np.minimum(1.0, 2.0 * step[r])
+            a, v = a[~down], v[~down]
+            step[a] *= 0.5
+            floor = step[a] < _STEP_FLOOR
+            converged[a[floor]] = True
+            a, v = a[~floor], v[~floor]
+    return p, converged, iterations, cur
 
 
 # --- affine-invariant SPD

@@ -104,7 +104,6 @@ def test_tune_best_matches_table_argmin(tmp_path):
                    "--folds", "3", "--bandwidth-grid", "0.2", "0.4", "0.8",
                    "--out", str(tmp_path / "cv.csv")])
     assert rc == 0
-    # failed CV cells score inf, which the CLI's input parser rejects
     table = np.loadtxt(tmp_path / "cv.csv", delimiter=",", skiprows=1)
     best = json.loads((tmp_path / "cv_best.json").read_text())
     assert best["bandwidth"] == pytest.approx(
@@ -131,9 +130,37 @@ def test_tune_reports_each_failed_cv_fold(tmp_path, capsys):
         assert line["fold"] in range(3)
         assert "no kernel mass" in line["error"]
     assert len({line["fold"] for line in lines}) == len(lines)
-    rows = (tmp_path / "cv.csv").read_text().splitlines()[1:]
-    scored_inf = [row.split(",")[0] for row in rows if ",inf," in row]
-    assert [float(b) for b in scored_inf] == [0.2]
+    # the failed cell is left out of the table
+    table = cli._parse_csv_matrix(str(tmp_path / "cv.csv"), header=True)
+    assert table[:, 0].tolist() == [0.4, 0.8]
+
+
+def _tune_sphere_nw(tmp_path, bandwidths):
+    out = tmp_path / "data"
+    cli.main(["simulate", "--scenario", "III-2", "--p", "2", "--n", "40",
+              "--seed", "1", "--out-dir", str(out)])
+    return cli.main(["tune", "--estimator", "nw", "--space", "sphere",
+                     "--dim", "3", "--x", str(out / "X.csv"),
+                     "--y", str(out / "Y.csv"), "--seed", "2",
+                     "--bandwidth-grid", *map(str, bandwidths),
+                     "--out", str(tmp_path / "cv.csv")])
+
+
+def test_tune_writes_a_table_its_own_parser_reads(tmp_path, capsys):
+    assert _tune_sphere_nw(tmp_path, [0.01, 0.4]) == 0
+    assert "no kernel mass" in capsys.readouterr().err
+    table = cli._parse_csv_matrix(str(tmp_path / "cv.csv"), header=True)
+    assert table[:, 0].tolist() == [0.4]
+    assert json.loads((tmp_path / "cv_best.json").read_text()) == \
+        {"bandwidth": 0.4}
+
+
+def test_tune_exits_1_when_no_cell_scores(tmp_path, capsys):
+    assert _tune_sphere_nw(tmp_path, [0.01, 0.02]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert "no grid cell scored" in json.loads(err[-1])["error"]
+    assert not (tmp_path / "cv.csv").exists()
+    assert not (tmp_path / "cv_best.json").exists()
 
 
 def test_bench_table_byte_identical(tmp_path):

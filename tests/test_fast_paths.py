@@ -8,7 +8,8 @@ split sums shared by the cross-validation forests of one fold, the sphere
 descent that carries its angles (checked against the solver of earlier
 versions), the split scores shared by the trees of one scope, and the
 per-leaf means behind ``predict_frf``, read from growth where it solved
-them.
+them, and the batched sphere descent of ``weighted_frechet_means``
+(checked row by row against ``weighted_frechet_mean``).
 
 Under signed weights a curved mean is one descent from the usual start,
 like an unsigned one; the objective is then not convex, so a seeded loop
@@ -662,3 +663,103 @@ def test_forest_cv_fits_one_forest_per_cell_and_fold(monkeypatch):
                                       seed=5, num_trees=4, base_tree=base)
         assert [row["mean_error"] for row in table] == \
             [float(np.mean(row)) for row in errors[kind]]
+
+
+def _sphere_weight_rows(scenario, seed, queries):
+    """rfwlcfr, rfwllfr (signed) and gfr (signed) rows on one III stack."""
+    from frechetforest import simulate
+    rng = np.random.default_rng(seed)
+    data = simulate.generate(simulate.SimSetting(scenario, p=2, n=60), rng)
+    model = fit_forest(data.X, data.Y, data.space, ForestConfig(
+        num_trees=5, tree=TreeConfig(max_depth=4), master_seed=seed))
+    gfr = regressors.fit_gfr(data.X, data.Y, data.space)
+    rows = []
+    for x in rng.uniform(size=(queries, 2)):
+        alpha = regressors.kernel_weights(model, x)
+        rows += [alpha, regressors.local_linear_weights(data.X, x, alpha),
+                 regressors.gfr_weights(gfr, x)]
+    one_hot = np.zeros(len(data.Y))
+    one_hot[7] = 2.0  # all weight on one object: the start is the optimum
+    sparse = rows[0].copy()
+    sparse[::2] = 0.0
+    return data.Y, np.stack(rows + [one_hot, sparse])
+
+
+def _octahedron_rows():
+    """Per-row stacks; the first row's extrinsic mean is exactly zero.
+
+    Its first object has weight zero, so the argmax start is -e3, where
+    the gradient vanishes exactly: e3 is antipodal and +-e1, +-e2 cancel.
+    """
+    rng = np.random.default_rng(4)
+    stacks = [np.concatenate([_objects(sphere_space(3), 1, rng), -np.eye(3)[2:],
+                              np.eye(3)[[0]], -np.eye(3)[[0]], np.eye(3)[[1]],
+                              -np.eye(3)[[1]], np.eye(3)[2:]])]
+    rows = [np.r_[0.0, np.ones(6)]]
+    for _ in range(3):
+        stacks.append(_objects(sphere_space(3), 7, rng))
+        rows.append(_weights(7, True, rng))
+    return np.stack(stacks), np.stack(rows)
+
+
+def _assert_batch_matches_single(ystack, W):
+    space = sphere_space(3)
+    means, info = spaces.weighted_frechet_means(space, ystack, W,
+                                                return_info=True)
+    assert means.shape == (len(W), 3)
+    for k, w in enumerate(W):
+        ys = ystack if ystack.ndim == 2 else ystack[k]
+        ref, ref_info = weighted_frechet_mean(space, ys, w, return_info=True)
+        wn = w / w.sum()
+        obj = info["objective"][k]
+        assert np.max(np.abs(means[k] - ref)) <= 1e-6
+        assert obj <= ref_info["objective"] + 1e-10 * abs(ref_info["objective"])
+        assert obj == pytest.approx(frechet_objective(space, ys, wn, means[k]),
+                                    rel=1e-12, abs=1e-15)
+        points = [frechet_objective(space, ys, wn, y) for y in ys[w != 0]]
+        assert obj <= min(points) + 1e-12 * abs(min(points))
+        assert info["converged"][k] == ref_info["converged"]
+        alone, alone_info = spaces.weighted_frechet_means(
+            space, ystack if ystack.ndim == 2 else ystack[k:k + 1],
+            W[k:k + 1], return_info=True)
+        assert np.array_equal(alone[0], means[k])
+        assert [alone_info[key][0] for key in alone_info] == \
+            [info[key][k] for key in info]
+    return means, info
+
+
+@pytest.mark.parametrize("scenario,seed", [("III-1", 8), ("III-2", 9)])
+def test_batched_sphere_means_equal_single_solves(scenario, seed):
+    ystack, W = _sphere_weight_rows(scenario, seed, 30)
+    # more rows than one block of the descent holds
+    assert len(W) > spaces._BLOCK_ENTRIES // ystack.shape[0]
+    assert (W < 0).any(axis=1).sum() >= 30
+    means, info = _assert_batch_matches_single(ystack, W)
+    assert np.array_equal(means[-2], ystack[7])
+    assert info["iterations"][-2] == 1
+
+
+def test_batched_sphere_means_take_the_argmax_start_and_per_row_stacks():
+    ystack, W = _octahedron_rows()
+    means, info = _assert_batch_matches_single(ystack, W)
+    assert np.array_equal(means[0], -np.eye(3)[2])
+    assert info["iterations"][0] == 1
+
+
+def test_batched_means_reject_what_the_single_solve_rejects():
+    space = sphere_space(3)
+    ystack, W = _octahedron_rows()
+    bad = ystack[0].copy()
+    bad[2, 0] = np.nan
+    cases = [(ystack[0], np.where(np.arange(7) == 3, np.inf, W[:2])),
+             (bad, W[:2]), (ystack[0], np.stack([W[0], -W[0]])),
+             (ystack[0], np.stack([W[0], np.zeros(7)])),
+             (ystack[0], np.stack([-W[0], np.full(7, np.nan)]))]
+    for ys, rows in cases:
+        with pytest.raises(ValueError) as single:
+            for w in rows:
+                weighted_frechet_mean(space, ys, w)
+        with pytest.raises(ValueError, match=str(single.value)):
+            spaces.weighted_frechet_means(space, ys, rows)
+    with pytest.raises(ValueError, match="different lengths"):
+        spaces.weighted_frechet_means(space, ystack[0], W[:, :6])

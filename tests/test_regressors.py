@@ -316,3 +316,83 @@ def test_prediction_permutation_invariance():
     a = predict_nw(X, scalar_data(y), SCALAR, x, 0.4)
     b = predict_nw(X[perm], scalar_data(y[perm]), SCALAR, x, 0.4)
     assert a[0] == pytest.approx(b[0], abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# batch prediction
+
+
+def _per_query(kind, fitted, x):
+    if kind in regressors.FOREST_KINDS:
+        return regressors._FOREST_PREDICTORS[kind](fitted, x)
+    if kind == "gfr":
+        return predict_gfr(fitted, x)
+    X, Y, space, h = fitted
+    fn = predict_nw if kind == "nw" else predict_lfr_kernel
+    return fn(X, Y, space, x, h)
+
+
+@pytest.mark.parametrize("scenario,metric", [("I-2", "logcholesky"),
+                                             ("II-1", "affine"),
+                                             ("III-2", "logcholesky")])
+def test_predict_batch_equals_per_query_predictions(scenario, metric):
+    from frechetforest import simulate
+    rng = np.random.default_rng(12)
+    data = simulate.generate(simulate.SimSetting(scenario, p=2, n=40,
+                                                 spd_metric=metric), rng)
+    Xq = rng.uniform(0.2, 0.8, size=(6, 2))
+    forest = regressors.fit_cell("rfwlcfr", data.X, data.Y, data.space,
+                                 {"max_depth": 3, "mtry": 2}, 3,
+                                 TreeConfig(), 5)
+    for kind in regressors.ALL_KINDS:
+        fitted = (forest if kind in regressors.FOREST_KINDS else
+                  regressors.fit_cell(kind, data.X, data.Y, data.space,
+                                      {"bandwidth": 0.6}, 3, TreeConfig(), 5))
+        batch = regressors.predict_batch(kind, fitted, Xq)
+        single = np.stack([_per_query(kind, fitted, x) for x in Xq])
+        if scenario == "III-2":
+            assert np.max(np.abs(batch - single)) <= 1e-6, kind
+        else:
+            assert np.array_equal(batch, single), kind
+
+
+def test_predict_batch_raises_the_per_query_message_for_a_bad_row():
+    rng = np.random.default_rng(13)
+    X = rng.uniform(size=(30, 2))
+    Y = np.concatenate([0.3 * rng.normal(size=(30, 2)), np.ones((30, 1))],
+                       axis=1)
+    Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+    fitted = (X, Y, sphere_space(3), 0.1)
+    Xq = np.array([[0.5, 0.5], [5.0, 5.0], [0.4, 0.6]])  # row 1: no mass
+    with pytest.raises(ValueError) as single:
+        for x in Xq:
+            predict_nw(X, Y, sphere_space(3), x, 0.1)
+    assert "no kernel mass" in str(single.value)
+    with pytest.raises(ValueError, match=str(single.value)):
+        regressors.predict_batch("nw", fitted, Xq)
+
+
+def test_predict_batch_raises_an_earlier_rows_solve_error_first(monkeypatch):
+    # row 0's weights are valid but total negative, row 1's weights raise:
+    # the per-query loop fails at row 0's solve before reaching row 1
+    rng = np.random.default_rng(14)
+    X = rng.uniform(size=(20, 2))
+    Y = np.concatenate([0.3 * rng.normal(size=(20, 2)), np.ones((20, 1))],
+                       axis=1)
+    Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+    Xq = np.array([[0.2, 0.2], [0.8, 0.8]])
+
+    def weights(X, x, bandwidth):
+        if x[0] > 0.5:
+            raise ValueError("weights of a later row")
+        return -np.ones(len(X)) / len(X)
+
+    monkeypatch.setattr(regressors, "product_kernel_weights", weights)
+    for space, ys in [(sphere_space(3), Y), (wasserstein_space(3), Y)]:
+        for kind, fn in [("nw", predict_nw), ("lfr_kernel", predict_lfr_kernel)]:
+            with pytest.raises(ValueError) as single:
+                for x in Xq:
+                    fn(X, ys, space, x, 0.5)
+            assert "total" in str(single.value)
+            with pytest.raises(ValueError, match=str(single.value)):
+                regressors.predict_batch(kind, (X, ys, space, 0.5), Xq)
