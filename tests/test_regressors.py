@@ -389,7 +389,8 @@ def test_predict_batch_raises_an_earlier_rows_solve_error_first(monkeypatch):
 
     monkeypatch.setattr(regressors, "product_kernel_weights", weights)
     for space, ys in [(sphere_space(3), Y), (wasserstein_space(3), Y)]:
-        for kind, fn in [("nw", predict_nw), ("lfr_kernel", predict_lfr_kernel)]:
+        for kind, fn in [("nw", predict_nw),
+                         ("lfr_kernel", predict_lfr_kernel)]:
             with pytest.raises(ValueError) as single:
                 for x in Xq:
                     fn(X, ys, space, x, 0.5)
