@@ -62,7 +62,8 @@ def _mean(space: MetricSpace, ystack: np.ndarray, weights: np.ndarray,
 def predict_rfwlcfr(model: ForestModel, x: np.ndarray,
                     return_info: bool = False):
     """Local-constant prediction: Frechet mean under the forest kernel."""
-    return _mean(model.space, model.Y, kernel_weights(model, x), return_info)
+    return _mean(model.space, model.Y, _query_weights("rfwlcfr", model, x),
+                 return_info)
 
 
 def local_linear_weights(X: np.ndarray, x: np.ndarray,
@@ -99,8 +100,8 @@ def local_linear_weights(X: np.ndarray, x: np.ndarray,
 def predict_rfwllfr(model: ForestModel, x: np.ndarray,
                     return_info: bool = False):
     """Local-linear prediction: signed-weight Frechet mean."""
-    t = local_linear_weights(model.X, x, kernel_weights(model, x))
-    return _mean(model.space, model.Y, t, return_info)
+    return _mean(model.space, model.Y, _query_weights("rfwllfr", model, x),
+                 return_info)
 
 
 def leaf_means(model: ForestModel, x: np.ndarray) -> np.ndarray:
@@ -155,11 +156,25 @@ def predict_forest_batch(model: ForestModel, X_query: np.ndarray,
     X_query = np.asarray(X_query, dtype=float)
     if kind == "frf":
         return np.stack([fn(model, x) for x in X_query])
-    rows = (kernel_weights(model, x) for x in X_query)
+    return _batch_means(model.space, model.Y,
+                        (_query_weights(kind, model, x) for x in X_query))
+
+
+def _query_weights(kind: str, fitted, x: np.ndarray) -> np.ndarray:
+    """The weights ``kind`` averages at ``x``, from a :func:`fit_cell` state.
+
+    The one rule per kind, shared by ``predict_<kind>`` and
+    :func:`predict_batch`; ``frf`` averages leaf means instead.
+    """
+    if kind == "rfwlcfr":
+        return kernel_weights(fitted, x)
     if kind == "rfwllfr":
-        rows = (local_linear_weights(model.X, x, a)
-                for x, a in zip(X_query, rows))
-    return _batch_means(model.space, model.Y, rows)
+        return local_linear_weights(fitted.X, x, kernel_weights(fitted, x))
+    if kind == "gfr":
+        return gfr_weights(fitted, x)
+    X, _, _, bandwidth = fitted
+    w = product_kernel_weights(X, x, bandwidth)
+    return w if kind == "nw" else local_linear_weights(X, x, w)
 
 
 def _batch_means(space: MetricSpace, ystack: np.ndarray, rows):
@@ -216,7 +231,8 @@ def gfr_weights(model: GFRModel, x: np.ndarray) -> np.ndarray:
 
 
 def predict_gfr(model: GFRModel, x: np.ndarray, return_info: bool = False):
-    return _mean(model.space, model.Y, gfr_weights(model, x), return_info)
+    return _mean(model.space, model.Y, _query_weights("gfr", model, x),
+                 return_info)
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +254,14 @@ def product_kernel_weights(X: np.ndarray, x: np.ndarray,
 def predict_nw(X: np.ndarray, Y: np.ndarray, space: MetricSpace,
                x: np.ndarray, bandwidth: float) -> np.ndarray:
     """Nadaraya-Watson Frechet prediction."""
-    w = product_kernel_weights(X, x, bandwidth)
+    w = _query_weights("nw", (X, Y, space, bandwidth), x)
     return spaces.weighted_frechet_mean(space, np.asarray(Y, dtype=float), w)
 
 
 def predict_lfr_kernel(X: np.ndarray, Y: np.ndarray, space: MetricSpace,
                        x: np.ndarray, bandwidth: float) -> np.ndarray:
     """Local-linear Frechet prediction with smoothing-kernel weights."""
-    w = product_kernel_weights(X, x, bandwidth)
-    t = local_linear_weights(X, x, w)
+    t = _query_weights("lfr_kernel", (X, Y, space, bandwidth), x)
     return spaces.weighted_frechet_mean(space, np.asarray(Y, dtype=float), t)
 
 
@@ -303,15 +318,10 @@ def predict_batch(kind: str, fitted, X_query: np.ndarray) -> np.ndarray:
     """
     if kind in FOREST_KINDS:
         return predict_forest_batch(fitted, X_query, kind)
-    X_query = np.asarray(X_query, dtype=float)
-    if kind == "gfr":
-        return _batch_means(fitted.space, fitted.Y,
-                            (gfr_weights(fitted, x) for x in X_query))
-    X, Y, space, bandwidth = fitted
-    rows = (product_kernel_weights(X, x, bandwidth) for x in X_query)
-    if kind != "nw":
-        rows = (local_linear_weights(X, x, w) for x, w in zip(X_query, rows))
-    return _batch_means(space, Y, rows)
+    space, Y = ((fitted.space, fitted.Y) if kind == "gfr"
+                else (fitted[2], fitted[1]))
+    return _batch_means(space, Y, (_query_weights(kind, fitted, x)
+                                   for x in np.asarray(X_query, dtype=float)))
 
 
 def evaluate_mse(predictions: np.ndarray, truths: np.ndarray,

@@ -431,61 +431,38 @@ def sum_sq_to_mean(space: MetricSpace, ystack: np.ndarray,
 
 
 def weighted_frechet_means(space: MetricSpace, ystack: np.ndarray,
-                           W: np.ndarray, return_info: bool = False):
-    """The weighted Frechet means of every row of ``W`` (K x n).
+                           W: np.ndarray) -> np.ndarray:
+    """The weighted Frechet means over ``ystack`` of every row of ``W``.
 
-    ``ystack`` is one stack of n objects shared by every row, or a stack
-    per row (K x n x ...).  Each row is the problem of
-    :func:`weighted_frechet_mean`, with its checks and error messages.  On
-    the sphere one vectorised descent solves all rows: ``_descend``'s policy
-    with a step per row, from ``_sphere_start``'s start, a row frozen once
-    it has converged.  It agrees with the single solve to rounding, and a
-    row's result does not depend on the other rows of the batch.  Other
-    spaces solve row by row with :func:`weighted_frechet_mean`.  With
-    ``return_info=True`` returns ``(means, info)``, where ``info`` holds
-    per-row arrays ``converged``, ``iterations`` and ``objective`` (under
-    the weights normalised to total 1).
+    ``W`` is K x n, one weight row per problem over the same n objects.
+    Each row is the problem of :func:`weighted_frechet_mean`, with its
+    checks and error messages.  On the sphere one vectorised descent solves
+    all rows: ``_descend``'s policy with a step per row, from
+    ``_sphere_start``'s start, a row frozen once it has converged.  It
+    agrees with the single solve to rounding, and a row's result does not
+    depend on the other rows of the batch.  Other spaces solve row by row
+    with :func:`weighted_frechet_mean`.  K = 0 gives an empty array.
     """
     ystack = np.asarray(ystack, dtype=float)
     W = np.asarray(W, dtype=float)
-    shared = ystack.ndim == len(space.shape) + 1
-    n = ystack.shape[0 if shared else 1]
-    if W.ndim != 2 or W.shape[1] != n or not (shared or len(ystack) == len(W)):
+    if W.ndim != 2 or W.shape[1] != len(ystack):
         raise ValueError("weights and objects have different lengths")
+    if not len(W):
+        return np.empty((0,) + space.shape)
     if space.kind != SPHERE:
-        means, infos = [], []
-        for k, w in enumerate(W):
-            ys = ystack if shared else ystack[k]
-            out, info = weighted_frechet_mean(space, ys, w, return_info=True)
-            if return_info and "objective" not in info:
-                info["objective"] = frechet_objective(space, ys, w / w.sum(),
-                                                      out)
-            means.append(out)
-            infos.append(info)
-        means = np.stack(means)
-        if not return_info:
-            return means
-        return means, {key: np.array([info[key] for info in infos])
-                       for key in ("converged", "iterations", "objective")}
+        return np.stack([weighted_frechet_mean(space, ystack, w) for w in W])
     totals = W.sum(axis=1)
-    finite = np.isfinite(totals) & np.isfinite(
-        ystack.sum() if shared else ystack.reshape(len(W), -1).sum(axis=1))
+    finite = np.isfinite(totals) & np.isfinite(ystack.sum())
     ok = finite & (totals > 0) & np.any(W != 0, axis=1)
     if not ok.all():  # the first failing row's message, as row by row
         k = int(np.argmin(ok))
         raise ValueError("weights and objects must be finite" if not finite[k]
                          else "total weight must be positive")
     # blocks of rows bound the (rows, n) working arrays of the descent
-    rows = max(1, _BLOCK_ENTRIES // n)
-    blocks = [_sphere_solve_rows(ystack if shared else ystack[s:s + rows],
-                                 W[s:s + rows] / totals[s:s + rows, None])
-              for s in range(0, len(W), rows)]
-    means, converged, iterations, objective = (np.concatenate(parts)
-                                               for parts in zip(*blocks))
-    if return_info:
-        return means, {"converged": converged, "iterations": iterations,
-                       "objective": objective}
-    return means
+    rows = max(1, _BLOCK_ENTRIES // len(ystack))
+    return np.concatenate([
+        _sphere_solve_rows(ystack, W[s:s + rows] / totals[s:s + rows, None])[0]
+        for s in range(0, len(W), rows)])
 
 
 _BLOCK_ENTRIES = 4096
@@ -584,25 +561,22 @@ def _sphere_solve_rows(ystack: np.ndarray, wn: np.ndarray):
     Each row keeps its own iterate, angles, objective and step; an
     iteration works on the rows that have not converged.  Only elementwise
     products and row sums are used, never a matrix product, so no
-    (K, n, d) array is built for a shared stack and a row's arithmetic
-    does not depend on the other rows.  The gradient ``sum_i c_i (Y_i -
-    dots_i p)`` uses ``c_i = wn_i theta_i / sin(theta_i)`` (0 where the sine
-    is below 1e-15, as ``_sphere_logs`` treats a vanishing projection).
-    Returns the means, ``converged``, ``iterations`` and ``objective``.
+    (K, n, d) array is built and a row's arithmetic does not depend on the
+    other rows.  The gradient ``sum_i c_i (Y_i - dots_i p)`` uses ``c_i =
+    wn_i theta_i / sin(theta_i)`` (0 where the sine is below 1e-15, as
+    ``_sphere_logs`` treats a vanishing projection).  Returns the means and
+    the per-row arrays ``converged``, ``iterations`` and ``objective``.
     """
-    shared = ystack.ndim == 2
-    d = ystack.shape[-1]
+    d = ystack.shape[1]
 
-    def combine(c, rows):  # sum_i c_ri Y_ri, shape (r, d)
-        ys = ystack if shared else ystack[rows]
-        return np.stack([np.add.reduce(c * ys[..., j], axis=1)
+    def combine(c):  # sum_i c_ri Y_i, shape (r, d)
+        return np.stack([np.add.reduce(c * ystack[:, j], axis=1)
                          for j in range(d)], axis=1)
 
     def evaluate(p, rows):
-        ys = ystack if shared else ystack[rows]
-        dots = ys[..., 0] * p[:, :1]
+        dots = ystack[:, 0] * p[:, :1]
         for j in range(1, d):
-            dots += ys[..., j] * p[:, j:j + 1]
+            dots += ystack[:, j] * p[:, j:j + 1]
         dots = np.minimum(np.maximum(dots, -1.0), 1.0)
         theta = np.arccos(dots)
         return np.add.reduce(wn[rows] * theta ** 2, axis=1), dots, theta
@@ -610,15 +584,14 @@ def _sphere_solve_rows(ystack: np.ndarray, wn: np.ndarray):
     def row_norms(v):
         return np.sqrt(np.add.reduce(v * v, axis=1))
 
-    rows = np.arange(len(wn))
-    extrinsic = combine(wn, rows)
+    extrinsic = combine(wn)
     norm = row_norms(extrinsic)
     far = norm < 1e-6
     p = extrinsic / np.where(far, 1.0, norm)[:, None]
     if far.any():
         top = np.argmax(wn[far], axis=1)
-        p[far] = ystack[top] if shared else ystack[rows[far], top]
-    cur, dots, theta = evaluate(p, rows)
+        p[far] = ystack[top]
+    cur, dots, theta = evaluate(p, slice(None))
     step = np.ones(len(wn))
     converged = np.zeros(len(wn), dtype=bool)
     iterations = np.zeros(len(wn), dtype=int)
@@ -630,7 +603,7 @@ def _sphere_solve_rows(ystack: np.ndarray, wn: np.ndarray):
         sin = np.sin(theta[a])
         c = wn[a] * np.divide(theta[a], sin, out=np.zeros_like(sin),
                               where=sin > 1e-15)
-        v = combine(c, a) - np.add.reduce(c * dots[a], axis=1)[:, None] * p[a]
+        v = combine(c) - np.add.reduce(c * dots[a], axis=1)[:, None] * p[a]
         v -= np.add.reduce(v * p[a], axis=1)[:, None] * p[a]
         flat = row_norms(v) < _GRAD_TOL
         converged[a[flat]] = True

@@ -686,48 +686,51 @@ def _sphere_weight_rows(scenario, seed, queries):
 
 
 def _octahedron_rows():
-    """Per-row stacks; the first row's extrinsic mean is exactly zero.
+    """Rows over one octahedron stack; the first row's extrinsic mean is 0.
 
     Its first object has weight zero, so the argmax start is -e3, where
     the gradient vanishes exactly: e3 is antipodal and +-e1, +-e2 cancel.
     """
     rng = np.random.default_rng(4)
     e = np.eye(3)
-    stacks = [np.concatenate([_objects(sphere_space(3), 1, rng),
-                              -e[[2]], e[[0]], -e[[0]], e[[1]], -e[[1]],
-                              e[[2]]])]
-    rows = [np.r_[0.0, np.ones(6)]]
-    for _ in range(3):
-        stacks.append(_objects(sphere_space(3), 7, rng))
-        rows.append(_weights(7, True, rng))
-    return np.stack(stacks), np.stack(rows)
+    ystack = np.concatenate([_objects(sphere_space(3), 1, rng), -e[[2]],
+                             e[[0]], -e[[0]], e[[1]], -e[[1]], e[[2]]])
+    rows = [np.r_[0.0, np.ones(6)]] + [_weights(7, True, rng)
+                                       for _ in range(3)]
+    return ystack, np.stack(rows)
 
 
 def _assert_batch_matches_single(ystack, W):
     space = sphere_space(3)
-    means, info = spaces.weighted_frechet_means(space, ystack, W,
-                                                return_info=True)
+    means = spaces.weighted_frechet_means(space, ystack, W)
     assert means.shape == (len(W), 3)
+    # one block: the rows solved together equal the blocks, bit for bit
+    wn = W / W.sum(axis=1)[:, None]
+    solved, converged, iterations, objective = spaces._sphere_solve_rows(
+        ystack, wn)
+    assert np.array_equal(solved, means)
     for k, w in enumerate(W):
-        ys = ystack if ystack.ndim == 2 else ystack[k]
-        ref, ref_info = weighted_frechet_mean(space, ys, w, return_info=True)
-        wn = w / w.sum()
-        obj = info["objective"][k]
+        ref, ref_info = weighted_frechet_mean(space, ystack, w,
+                                              return_info=True)
+        obj = objective[k]
         assert np.max(np.abs(means[k] - ref)) <= 1e-6
         ref_obj = ref_info["objective"]
         assert obj <= ref_obj + 1e-10 * abs(ref_obj)
-        assert obj == pytest.approx(frechet_objective(space, ys, wn, means[k]),
-                                    rel=1e-12, abs=1e-15)
-        points = [frechet_objective(space, ys, wn, y) for y in ys[w != 0]]
+        assert obj == pytest.approx(
+            frechet_objective(space, ystack, wn[k], means[k]),
+            rel=1e-12, abs=1e-15)
+        points = [frechet_objective(space, ystack, wn[k], y)
+                  for y in ystack[w != 0]]
         assert obj <= min(points) + 1e-12 * abs(min(points))
-        assert info["converged"][k] == ref_info["converged"]
-        alone, alone_info = spaces.weighted_frechet_means(
-            space, ystack if ystack.ndim == 2 else ystack[k:k + 1],
-            W[k:k + 1], return_info=True)
-        assert np.array_equal(alone[0], means[k])
-        assert [alone_info[key][0] for key in alone_info] == \
-            [info[key][k] for key in info]
-    return means, info
+        assert converged[k] == ref_info["converged"]
+        alone = spaces._sphere_solve_rows(ystack, wn[k:k + 1])
+        assert np.array_equal(alone[0][0], means[k])
+        assert [part[0] for part in alone[1:]] == \
+            [converged[k], iterations[k], objective[k]]
+        assert np.array_equal(
+            spaces.weighted_frechet_means(space, ystack, W[k:k + 1])[0],
+            means[k])
+    return means, iterations
 
 
 @pytest.mark.parametrize("scenario,seed", [("III-1", 8), ("III-2", 9)])
@@ -736,27 +739,27 @@ def test_batched_sphere_means_equal_single_solves(scenario, seed):
     # more rows than one block of the descent holds
     assert len(W) > spaces._BLOCK_ENTRIES // ystack.shape[0]
     assert (W < 0).any(axis=1).sum() >= 30
-    means, info = _assert_batch_matches_single(ystack, W)
+    means, iterations = _assert_batch_matches_single(ystack, W)
     assert np.array_equal(means[-2], ystack[7])
-    assert info["iterations"][-2] == 1
+    assert iterations[-2] == 1
 
 
-def test_batched_sphere_means_take_the_argmax_start_and_per_row_stacks():
+def test_batched_sphere_means_take_the_argmax_start():
     ystack, W = _octahedron_rows()
-    means, info = _assert_batch_matches_single(ystack, W)
+    means, iterations = _assert_batch_matches_single(ystack, W)
     assert np.array_equal(means[0], -np.eye(3)[2])
-    assert info["iterations"][0] == 1
+    assert iterations[0] == 1
 
 
 def test_batched_means_reject_what_the_single_solve_rejects():
     space = sphere_space(3)
     ystack, W = _octahedron_rows()
-    bad = ystack[0].copy()
+    bad = ystack.copy()
     bad[2, 0] = np.nan
-    cases = [(ystack[0], np.where(np.arange(7) == 3, np.inf, W[:2])),
-             (bad, W[:2]), (ystack[0], np.stack([W[0], -W[0]])),
-             (ystack[0], np.stack([W[0], np.zeros(7)])),
-             (ystack[0], np.stack([-W[0], np.full(7, np.nan)]))]
+    cases = [(ystack, np.where(np.arange(7) == 3, np.inf, W[:2])),
+             (bad, W[:2]), (ystack, np.stack([W[0], -W[0]])),
+             (ystack, np.stack([W[0], np.zeros(7)])),
+             (ystack, np.stack([-W[0], np.full(7, np.nan)]))]
     for ys, rows in cases:
         with pytest.raises(ValueError) as single:
             for w in rows:
@@ -764,4 +767,12 @@ def test_batched_means_reject_what_the_single_solve_rejects():
         with pytest.raises(ValueError, match=str(single.value)):
             spaces.weighted_frechet_means(space, ys, rows)
     with pytest.raises(ValueError, match="different lengths"):
-        spaces.weighted_frechet_means(space, ystack[0], W[:, :6])
+        spaces.weighted_frechet_means(space, ystack, W[:, :6])
+
+
+@pytest.mark.parametrize("space", [sphere_space(3), wasserstein_space(5),
+                                   spd_space(2, "affine")])
+def test_batched_means_of_no_rows_are_empty(space):
+    ystack = _objects(space, 4, np.random.default_rng(6))
+    means = spaces.weighted_frechet_means(space, ystack, np.empty((0, 4)))
+    assert means.shape == (0,) + space.shape
