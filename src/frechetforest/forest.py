@@ -90,9 +90,9 @@ def fit_forest(X: np.ndarray, Y: np.ndarray, space: MetricSpace,
         if config.subsample_mode == BOOTSTRAP:
             sub = rng.integers(0, n, size=n)
         else:
-            s = config.subsample_size if config.subsample_size is not None else n
+            s = n if config.subsample_size is None else config.subsample_size
             sub = rng.choice(n, size=s, replace=False)
-        trees.append(grow_tree(X, Y, space, np.sort(sub), config.tree, rng=rng))
+        trees.append(grow_tree(X, Y, space, np.sort(sub), config.tree, rng))
     return ForestModel(trees, X, Y, space, config)
 
 

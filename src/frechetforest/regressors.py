@@ -1,6 +1,7 @@
 """Forest-weighted and baseline Frechet regression estimators.
 
-Forest-based estimators (need a fitted :class:`~frechetforest.forest.ForestModel`):
+Forest-based estimators (need a fitted
+:class:`~frechetforest.forest.ForestModel`):
 
 * ``rfwlcfr`` -- weighted Frechet mean under the forest kernel weights.
 * ``rfwllfr`` -- weighted Frechet mean under signed local-linear weights
@@ -35,7 +36,8 @@ import numpy as np
 from . import spaces
 from .forest import ForestConfig, ForestModel, fit_forest, kernel_weights
 from .spaces import MetricSpace
-from .tree import TreeConfig, depth_grid, leaf_for, shared_node_sums
+from .tree import (TreeConfig, depth_grid, leaf_for, leaf_mean,
+                   shared_node_sums)
 
 FOREST_KINDS = ("rfwlcfr", "rfwllfr", "frf")
 KERNEL_KINDS = ("nw", "lfr_kernel")
@@ -108,9 +110,8 @@ def leaf_means(model: ForestModel, x: np.ndarray) -> np.ndarray:
     """Per-tree predictions at ``x``: the Frechet means of its leaves.
 
     A leaf's equal-weight mean depends only on the model, so each index
-    set is solved once and kept in ``model.leaf_mean_cache``.  A leaf
-    whose mean tree growth already solved (``FrechetTree.leaf_means``) is
-    not solved again.
+    set's :func:`~frechetforest.tree.leaf_mean` (the mean growth solved,
+    where it kept one) is taken once and kept in ``model.leaf_mean_cache``.
     """
     cache = model.leaf_mean_cache
     out = []
@@ -119,11 +120,7 @@ def leaf_means(model: ForestModel, x: np.ndarray) -> np.ndarray:
         key = idx.tobytes()
         mean = cache.get(key)
         if mean is None:
-            mean = t.leaf_means.get(key)
-            if mean is None:
-                mean = spaces.weighted_frechet_mean(model.space, model.Y[idx],
-                                                    np.ones(len(idx)))
-            cache[key] = mean
+            mean = cache[key] = leaf_mean(t, idx, model.Y, model.space)
         out.append(mean)
     return np.stack(out)
 

@@ -80,7 +80,8 @@ class MetricSpace:
                            d.get("normalization", "riemann"))
 
 
-def wasserstein_space(grid_size: int = 21, normalization: str = "riemann") -> MetricSpace:
+def wasserstein_space(grid_size: int = 21,
+                      normalization: str = "riemann") -> MetricSpace:
     return MetricSpace(WASSERSTEIN, grid_size, normalization)
 
 
@@ -148,8 +149,13 @@ def matrix_log(y: np.ndarray) -> np.ndarray:
 def matrix_exp(a: np.ndarray) -> np.ndarray:
     """Exponential of a symmetric matrix; the result is SPD."""
     a = np.asarray(a, dtype=float)
-    if np.max(np.abs(a - a.T)) > max(_SYM_TOL, _SYM_TOL * np.abs(a).max() if a.size else _SYM_TOL):
+    if np.max(np.abs(a - a.T)) > max(_SYM_TOL, _SYM_TOL * np.abs(a).max()):
         raise ValueError("matrix is not symmetric")
+    return _sym_exp(a)
+
+
+def _sym_exp(a: np.ndarray) -> np.ndarray:
+    """``matrix_exp`` without its symmetry check."""
     vals, vecs = np.linalg.eigh(a)
     return (vecs * np.exp(vals)) @ vecs.T
 
@@ -234,7 +240,8 @@ def isotonic_project(values: np.ndarray) -> np.ndarray:
         sums[k] = x
         counts[k] = 1
         k += 1
-        while k > 1 and sums[k - 1] * counts[k - 2] < sums[k - 2] * counts[k - 1]:
+        while (k > 1 and sums[k - 1] * counts[k - 2]
+               < sums[k - 2] * counts[k - 1]):
             sums[k - 2] += sums[k - 1]
             counts[k - 2] += counts[k - 1]
             k -= 1
@@ -279,7 +286,8 @@ def distance(space: MetricSpace, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.log(vals) ** 2)))
 
 
-def dist2_to_point(space: MetricSpace, ystack: np.ndarray, y: np.ndarray) -> np.ndarray:
+def dist2_to_point(space: MetricSpace, ystack: np.ndarray,
+                   y: np.ndarray) -> np.ndarray:
     """Squared distances from every stacked object to ``y``."""
     y = np.asarray(y, dtype=float)
     if space.kind == WASSERSTEIN:
@@ -315,7 +323,8 @@ def _tril(m: int):
 def embed(space: MetricSpace, ystack: np.ndarray) -> np.ndarray:
     """Isometric Euclidean embedding of a stack of objects."""
     if space.kind == WASSERSTEIN:
-        return np.sqrt(_wasserstein_scale(space)) * np.asarray(ystack, dtype=float)
+        return (np.sqrt(_wasserstein_scale(space))
+                * np.asarray(ystack, dtype=float))
     if space.kind == SPD_LOGCHOLESKY:
         L = cholesky_factor(ystack)
         m = space.dim
@@ -413,9 +422,9 @@ def sum_sq_to_mean(space: MetricSpace, ystack: np.ndarray,
     to those of earlier versions.  ``weighted_frechet_mean`` uses the
     faster moving-frame form, which agrees to rounding.
 
-    With ``return_mean=True`` returns ``(sum, mean)``, where ``mean`` is
-    ``weighted_frechet_mean`` under equal weights, bit for bit, or None for
-    the affine space, whose sum is not measured from that mean.
+    With ``return_mean=True`` returns ``(sum, mean)``, the mean the sum is
+    measured from: ``weighted_frechet_mean`` under equal weights, bit for
+    bit, or in the affine space the square-root descent's final iterate.
     """
     ystack = np.asarray(ystack, dtype=float)
     w = np.ones(len(ystack))
@@ -424,9 +433,9 @@ def sum_sq_to_mean(space: MetricSpace, ystack: np.ndarray,
         ss = frechet_objective(space, ystack, w, mean)
     else:
         wn = w / w.sum()
-        mean = None
-        ss = float(w @ _affine_sqrt_dist2(ystack, wn,
-                                          _logchol_start(space, ystack, wn)))
+        dist2, mean = _affine_sqrt_dist2(ystack, wn,
+                                         _logchol_start(space, ystack, wn))
+        ss = float(w @ dist2)
     return (ss, mean) if return_mean else ss
 
 
@@ -639,20 +648,19 @@ def _logchol_start(space: MetricSpace, ystack: np.ndarray, wn: np.ndarray):
     return unembed(logchol, wn @ embed(logchol, ystack))
 
 
-def _whitened_obj_and_logs(Z: np.ndarray, wn: np.ndarray):
-    """Objective and matrix logs of a whitened stack, from one ``eigh``."""
+def _whitened_obj(Z: np.ndarray, wn: np.ndarray):
+    """Objective of a whitened stack, with the ``eigh`` of its logs."""
     vals, vecs = np.linalg.eigh(Z)
     lv = np.log(np.maximum(vals, 1e-300))
-    logs = (vecs * lv[:, None, :]) @ np.swapaxes(vecs, 1, 2)
-    return float(wn @ np.sum(lv ** 2, axis=1)), logs
+    return float(wn @ np.sum(lv ** 2, axis=1)), (lv, vecs)
 
 
 def _affine_solve(ystack: np.ndarray, wn: np.ndarray, y: np.ndarray):
     """Affine-invariant descent in a moving frame.
 
     The state is a frame ``G`` with ``y = G G^T``, the stack whitened by
-    it, ``Z_i = G^-1 Y_i G^-T``, and the logs of ``Z_i``: the objective is
-    then ``sum_i w_i |log eig(Z_i)|^2`` and the gradient is
+    it, ``Z_i = G^-1 Y_i G^-T``, and the ``eigh`` of ``Z_i``: the objective
+    is ``sum_i w_i |log eig(Z_i)|^2``, the gradient (built when asked for)
     ``sum_i w_i log Z_i`` in that frame.  Each iteration diagonalises the
     gradient once, ``V = U diag(lam) U^T``, and rotates the stack to
     ``W_i = U^T Z_i U``; a step of size ``t`` moves the frame to ``G U D``
@@ -660,7 +668,9 @@ def _affine_solve(ystack: np.ndarray, wn: np.ndarray, y: np.ndarray):
     so each step-halving candidate costs one batched ``eigh``.
     """
     def gradient(state):
-        return np.einsum("n,nij->ij", wn, state[2])
+        lv, vecs = state[2]
+        logs = (vecs * lv[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+        return np.einsum("n,nij->ij", wn, logs)
 
     def line(state, v):
         G, Z, _ = state
@@ -676,51 +686,50 @@ def _affine_solve(ystack: np.ndarray, wn: np.ndarray, y: np.ndarray):
             if not np.isfinite(dd).all():
                 return np.inf, None  # an overflowing step: halve it
             cand = W / dd
-            cand_obj, cand_logs = _whitened_obj_and_logs(cand, wn)
-            return cand_obj, (GU * d, cand, cand_logs)
+            cand_obj, cand_eig = _whitened_obj(cand, wn)
+            return cand_obj, (GU * d, cand, cand_eig)
         return candidate
 
     G = np.linalg.cholesky(y)
     Ginv = np.linalg.inv(G)
     Z = Ginv @ ystack @ Ginv.T
     Z = (Z + np.swapaxes(Z, 1, 2)) / 2.0
-    cur, logs = _whitened_obj_and_logs(Z, wn)
-    (G, _, _), info = _descend(gradient, line, (G, Z, logs), cur)
+    cur, eig = _whitened_obj(Z, wn)
+    (G, _, _), info = _descend(gradient, line, (G, Z, eig), cur)
     y = G @ G.T
     return (y + y.T) / 2.0, info
 
 
-def _affine_sqrt_dist2(ystack: np.ndarray, wn: np.ndarray,
-                       y: np.ndarray) -> np.ndarray:
+def _affine_sqrt_dist2(ystack: np.ndarray, wn: np.ndarray, y: np.ndarray):
     """Unsigned affine descent in square-root form, as in earlier versions.
 
     Takes the same steps as ``_affine_solve``, moving the iterate to
     ``y^1/2 exp(t V) y^1/2`` with ``V`` the gradient whitened by ``y^-1/2``,
     and returns the squared distances from the objects to the final
-    iterate, bit for bit those of ``dist2_to_point``.  The state is those
-    distances, the logs of the whitened stack and ``y^1/2``.
+    iterate, bit for bit those of ``dist2_to_point``, and that iterate.
+    The state is those distances, the whitened stack, ``y^1/2`` and ``y``.
     """
     def obj_and_state(p):
         sq, isq = _sqrt_and_invsqrt(p)
         mids = np.einsum("ij,njk,kl->nil", isq, ystack, isq)
         mids = (mids + np.swapaxes(mids, 1, 2)) / 2.0
-        vals, vecs = np.linalg.eigh(mids)
-        logs = np.einsum("...ij,...j,...kj->...ik", vecs, np.log(vals), vecs)
         dist2 = np.sum(np.log(np.maximum(np.linalg.eigvalsh(mids), 1e-300))
                        ** 2, axis=1)
-        return float(wn @ dist2), (dist2, logs, sq)
+        return float(wn @ dist2), (dist2, mids, sq, p)
 
     def gradient(state):
-        return np.einsum("n,nij->ij", wn, state[1])
+        vals, vecs = np.linalg.eigh(state[1])
+        logs = np.einsum("...ij,...j,...kj->...ik", vecs, np.log(vals), vecs)
+        return np.einsum("n,nij->ij", wn, logs)
 
     def line(state, v):
-        sq = state[2]
+        sq, sym = state[2], v + v.T
 
         def candidate(step):
-            cand = sq @ matrix_exp(step * (v + v.T) / 2.0) @ sq
+            cand = sq @ _sym_exp(step * sym / 2.0) @ sq
             return obj_and_state((cand + cand.T) / 2.0)
         return candidate
 
     cur, state = obj_and_state(y)
-    (dist2, _, _), _ = _descend(gradient, line, state, cur)
-    return dist2
+    (dist2, _, _, y), _ = _descend(gradient, line, state, cur)
+    return dist2, y

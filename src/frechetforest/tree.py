@@ -18,9 +18,9 @@ place splits) and a prediction half (the only indices stored in leaves, and
 thus the only ones that can carry kernel weight).
 
 A split engine keeps one record per distinct index set: its sum of
-squares, each feature's best split, and on the sphere the Frechet mean the
-sum was measured from.  Inside :func:`shared_node_sums` the trees grown on
-the same responses share one engine, so cross-validation pays once per
+squares, each feature's best split, and on curved spaces the Frechet mean
+the sum was measured from.  Inside :func:`shared_node_sums` the trees grown
+on the same responses share one engine, so cross-validation pays once per
 distinct node, not once per grid cell; a tree keeps the means of the leaves
 that growth solved, so ``frf`` does not solve them again.
 """
@@ -139,7 +139,7 @@ def _valid_thresholds(sorted_values: np.ndarray, min_leaf: int):
 @dataclass(slots=True)
 class _Node:
     """What an engine knows of one index set: its sum of squares, the mean
-    that sum was measured from where the engine solved one (the sphere),
+    that sum was measured from where the engine solved one (curved spaces),
     and each feature's best ``(gain, threshold)`` (None if no gain is
     positive) by ``(id(X), split_method, min_leaf, feature)``."""
 
@@ -230,8 +230,8 @@ class _MetricResponses(_Responses):
 
     Each index set is solved once per engine: a winning split's children
     come back as the next nodes' totals, and different features often
-    induce the same partition.  The sphere's record keeps the solved mean,
-    which is a leaf's prediction when the set becomes a leaf.
+    induce the same partition.  A record keeps the solved mean, which is a
+    leaf's prediction when the set becomes a leaf.
     """
 
     def _solve(self, idx: np.ndarray) -> _Node:
@@ -260,7 +260,7 @@ def shared_node_sums():
     one fold draw the same bootstraps in every grid cell, and so grow the
     same top nodes.  What is shared per index set is its sum of squares,
     each feature's best split for a given ``X``, ``split_method`` and
-    ``min_leaf``, and on the sphere the mean solved for the sum.  The
+    ``min_leaf``, and on curved spaces the mean solved for the sum.  The
     responses and every ``X`` must not be modified inside the scope.
     Sums, split scores, and so trees, are those of unshared engines, bit
     for bit.
@@ -292,7 +292,8 @@ def _responses_for(space: MetricSpace, ystack: np.ndarray):
 # split search
 
 
-def _gain(resp, samples: np.ndarray, mask: np.ndarray, total_ss: float) -> float:
+def _gain(resp, samples: np.ndarray, mask: np.ndarray,
+          total_ss: float) -> float:
     """Frechet-variance reduction of splitting ``samples`` by ``mask``."""
     return (total_ss - resp.node_ss(samples[mask])
             - resp.node_ss(samples[~mask])) / len(samples)
@@ -346,7 +347,7 @@ def two_means_1d(values: np.ndarray):
 
 
 def _midpoint_threshold(c_lo: float, c_hi: float) -> float:
-    """Threshold ``c`` with ``v < c`` exactly when ``v <= (c_lo + c_hi) / 2``."""
+    """Threshold ``c``: ``v < c`` exactly when ``v <= (c_lo + c_hi) / 2``."""
     return math.nextafter((c_lo + c_hi) / 2.0, math.inf)
 
 
@@ -427,14 +428,16 @@ def grow_tree(X: np.ndarray, ystack: np.ndarray, space: MetricSpace,
     struct_half = pred_half = None
     if config.honest:
         if len(subsample) < 2 * config.min_leaf:
-            raise ValueError("honest tree needs a subsample of size >= 2*min_leaf")
+            raise ValueError(
+                "honest tree needs a subsample of size >= 2*min_leaf")
         perm = rng.permutation(len(subsample))
         half = math.ceil(len(subsample) / 2)
         struct_half = subsample[perm[:half]]
         pred_half = subsample[perm[half:]]
         structure, prediction = struct_half, pred_half
 
-    def build(struct_idx: np.ndarray, pred_idx: np.ndarray, depth: int) -> dict:
+    def build(struct_idx: np.ndarray, pred_idx: np.ndarray,
+              depth: int) -> dict:
         if (depth >= config.max_depth
                 or len(struct_idx) < 2 * config.min_leaf
                 or len(pred_idx) == 0):
@@ -443,7 +446,7 @@ def grow_tree(X: np.ndarray, ystack: np.ndarray, space: MetricSpace,
             feats = np.sort(rng.choice(p, size=mtry, replace=False))
         else:
             feats = np.arange(p)
-        rule = best_split(struct_idx, feats, X, ystack, space, config, resp=resp)
+        rule = best_split(struct_idx, feats, X, ystack, space, config, resp)
         if rule is None:
             return {"leaf": pred_idx}
         smask = X[struct_idx, rule["feature"]] < rule["threshold"]
@@ -474,11 +477,19 @@ def leaf_for(tree: FrechetTree, x: np.ndarray) -> np.ndarray:
     return node["leaf"]
 
 
+def leaf_mean(tree: FrechetTree, idx: np.ndarray, ystack: np.ndarray,
+              space: MetricSpace) -> np.ndarray:
+    """Equal-weight Frechet mean of ``ystack[idx]``, a leaf of ``tree``
+    grown on ``ystack``: the mean growth solved, if the tree kept it."""
+    mean = tree.leaf_means.get(idx.tobytes())
+    return mean if mean is not None else spaces.weighted_frechet_mean(
+        space, ystack[idx], np.ones(len(idx)))
+
+
 def tree_predict(tree: FrechetTree, x: np.ndarray, ystack: np.ndarray,
                  space: MetricSpace) -> np.ndarray:
-    """Equal-weight Frechet mean of the leaf responses at ``x``."""
-    idx = leaf_for(tree, x)
-    return spaces.weighted_frechet_mean(space, ystack[idx], np.ones(len(idx)))
+    """The :func:`leaf_mean` of the leaf that contains ``x``."""
+    return leaf_mean(tree, leaf_for(tree, x), ystack, space)
 
 
 def iter_nodes(root: dict):

@@ -3,7 +3,10 @@
 Covers the support-only mean solve, the moving-frame affine descent
 (checked against the square-root descent of earlier versions), the split
 sums of ``sum_sq_to_mean`` (bit for bit those of earlier versions), the
-per-index-set ``node_ss`` memo of the curved-space split engine, the
+square-root descent that builds logs only for its gradient and returns
+its final iterate (bit for bit the earlier one, which grows the same
+affine forests), the optimality of the affine means that growth keeps,
+the per-index-set ``node_ss`` memo of the curved-space split engine, the
 split sums shared by the cross-validation forests of one fold, the sphere
 descent that carries its angles (checked against the solver of earlier
 versions), the split scores shared by the trees of one scope, and the
@@ -183,6 +186,107 @@ def test_split_sums_match_earlier_versions_bit_for_bit(space):
             frechet_objective(space, ys, w, mean)
 
 
+# The square-root split-sum descent as it was before its final iterate was
+# returned, kept as a reference: it built the logs of every candidate's
+# whitened stack and stepped with the checked ``matrix_exp``.  The copy
+# also returns that iterate, which the earlier version dropped.
+
+
+def _old_affine_sqrt_dist2(ystack, wn, y):
+    def obj_and_state(p):
+        sq, isq = _sqrt_invsqrt(p)
+        mids = np.einsum("ij,njk,kl->nil", isq, ystack, isq)
+        mids = (mids + np.swapaxes(mids, 1, 2)) / 2.0
+        vals, vecs = np.linalg.eigh(mids)
+        logs = np.einsum("...ij,...j,...kj->...ik", vecs, np.log(vals), vecs)
+        dist2 = np.sum(np.log(np.maximum(np.linalg.eigvalsh(mids), 1e-300))
+                       ** 2, axis=1)
+        return float(wn @ dist2), (dist2, logs, sq, p)
+
+    def gradient(state):
+        return np.einsum("n,nij->ij", wn, state[1])
+
+    def line(state, v):
+        sq = state[2]
+
+        def candidate(step):
+            cand = sq @ spaces.matrix_exp(step * (v + v.T) / 2.0) @ sq
+            return obj_and_state((cand + cand.T) / 2.0)
+        return candidate
+
+    cur, state = obj_and_state(y)
+    (dist2, _, _, y), _ = spaces._descend(gradient, line, state, cur)
+    return dist2, y
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_sqrt_descent_equals_earlier_version_bit_for_bit(m):
+    rng = np.random.default_rng(59)
+    space = spd_space(m, "affine")
+    for n in list(range(2, 30)) + list(range(30, 121, 9)):
+        ys = _objects(space, n, rng)
+        wn = np.ones(n) / n
+        start = spaces._logchol_start(space, ys, wn)
+        dist2, mean = spaces._affine_sqrt_dist2(ys, wn, start)
+        ref_dist2, ref_mean = _old_affine_sqrt_dist2(ys, wn, start)
+        assert np.array_equal(dist2, ref_dist2)
+        assert np.array_equal(mean, ref_mean)
+
+
+def _affine_forests(split_method, honest):
+    """``to_dict`` JSON of seeded II-1 affine forests."""
+    from frechetforest import simulate
+    docs = []
+    for seed in (2, 3):
+        data = simulate.generate(simulate.SimSetting(
+            "II-1", p=2, n=50, spd_metric="affine"),
+            np.random.default_rng(seed))
+        model = fit_forest(data.X, data.Y, data.space, ForestConfig(
+            num_trees=3, master_seed=seed, tree=TreeConfig(
+                max_depth=4, min_leaf=3, split_method=split_method,
+                honest=honest)))
+        docs.append(json.dumps([t.to_dict() for t in model.trees]))
+    return docs
+
+
+@pytest.mark.parametrize("split_method", ["two_means", "exhaustive"])
+@pytest.mark.parametrize("honest", [False, True])
+def test_affine_forests_equal_earlier_sqrt_descent(monkeypatch, split_method,
+                                                   honest):
+    got = _affine_forests(split_method, honest)
+    monkeypatch.setattr(spaces, "_affine_sqrt_dist2", _old_affine_sqrt_dist2)
+    assert got == _affine_forests(split_method, honest)
+
+
+@pytest.mark.parametrize("space", [spd_space(2, "affine"),
+                                   spd_space(3, "affine")],
+                         ids=lambda s: f"{s.kind}{s.dim}")
+def test_stored_affine_means_are_optimal(space):
+    # every node mean growth keeps: no data point of the node has a lower
+    # objective, and the single solver finds the same point, at the same
+    # objective to rounding
+    rng = np.random.default_rng(43)
+    n = 60
+    X = rng.uniform(size=(n, 2))
+    Y = _objects(space, n, rng)
+    with tree.shared_node_sums():
+        fit_forest(X, Y, space, ForestConfig(
+            num_trees=3, master_seed=6, tree=TreeConfig(max_depth=4)))
+        records = tree._responses_for(space, Y)._ss
+    assert len(records) > 20
+    for key, rec in records.items():
+        ys = Y[np.frombuffer(key, dtype=np.intp)]
+        w = np.ones(len(ys))
+        obj = frechet_objective(space, ys, w, rec.mean)
+        assert rec.mean.shape == space.shape
+        for y in ys:
+            assert obj <= frechet_objective(space, ys, w, y) + 1e-10
+        ref = weighted_frechet_mean(space, ys, w)
+        assert np.max(np.abs(rec.mean - ref)) <= 1e-10
+        ref_obj = frechet_objective(space, ys, w, ref)
+        assert obj <= ref_obj + 1e-12 * ref_obj
+
+
 class _FreshResponses(tree._MetricResponses):
     """The curved-space engine with its memo emptied before every solve."""
 
@@ -275,7 +379,7 @@ def test_frf_reads_leaf_means_from_growth(monkeypatch, space, honest):
     for x, want in zip(queries, expected):
         solves.clear()
         assert np.array_equal(regressors.predict_frf(model, x), want)
-        if space.kind == spaces.SPHERE and not honest:
+        if not honest:
             # every leaf of a non-honest tree was solved while growing it:
             # only the second stage is left
             assert len(solves) == 1

@@ -311,7 +311,8 @@ def test_leaf_for_routing():
     for x in rng.uniform(size=(1000, 2)):
         node = t.root
         while "leaf" not in node:
-            node = node["left"] if goes_left(node["rule"], x) else node["right"]
+            side = "left" if goes_left(node["rule"], x) else "right"
+            node = node[side]
         assert np.array_equal(leaf_for(t, x), node["leaf"])
 
 
