@@ -480,15 +480,19 @@ def leaf_for(tree: FrechetTree, x: np.ndarray) -> np.ndarray:
 def leaf_mean(tree: FrechetTree, idx: np.ndarray, ystack: np.ndarray,
               space: MetricSpace) -> np.ndarray:
     """Equal-weight Frechet mean of ``ystack[idx]``, a leaf of ``tree``
-    grown on ``ystack``: the mean growth solved, if the tree kept it."""
+    grown on ``ystack``, as growth solves a node (``sum_sq_to_mean``): the
+    mean growth kept, else solved so, and so the same for a loaded tree."""
     mean = tree.leaf_means.get(idx.tobytes())
-    return mean if mean is not None else spaces.weighted_frechet_mean(
-        space, ystack[idx], np.ones(len(idx)))
+    return mean if mean is not None else spaces.sum_sq_to_mean(
+        space, ystack[idx], return_mean=True)[1]
 
 
 def tree_predict(tree: FrechetTree, x: np.ndarray, ystack: np.ndarray,
                  space: MetricSpace) -> np.ndarray:
-    """The :func:`leaf_mean` of the leaf that contains ``x``."""
+    """The :func:`leaf_mean` of the leaf that contains ``x``.
+
+    ``ystack`` must be the responses ``tree`` was grown on: a leaf mean the
+    tree kept is returned whatever ``ystack`` holds."""
     return leaf_mean(tree, leaf_for(tree, x), ystack, space)
 
 
