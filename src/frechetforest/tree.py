@@ -489,10 +489,8 @@ def leaf_mean(tree: FrechetTree, idx: np.ndarray, ystack: np.ndarray,
 
 def tree_predict(tree: FrechetTree, x: np.ndarray, ystack: np.ndarray,
                  space: MetricSpace) -> np.ndarray:
-    """The :func:`leaf_mean` of the leaf that contains ``x``.
-
-    ``ystack`` must be the responses ``tree`` was grown on: a leaf mean the
-    tree kept is returned whatever ``ystack`` holds."""
+    """The :func:`leaf_mean` of the leaf that contains ``x``; ``ystack``
+    must be the responses ``tree`` was grown on, as a kept mean is used."""
     return leaf_mean(tree, leaf_for(tree, x), ystack, space)
 
 
