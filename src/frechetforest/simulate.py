@@ -115,11 +115,11 @@ def quantile_levels(m: int) -> np.ndarray:
 
 def normal_quantile_grid(mu, sigma, m: int) -> np.ndarray:
     """Quantile vector(s) of N(mu, sigma^2) on the midpoint grid."""
-    # imported here so that the package and the CLI start without scipy;
-    # ``ndtri`` is the normal quantile function without ``scipy.stats``
-    from scipy.special import ndtri
+    # imported here so that fit and predict never compile it; a scalar loop
+    # over the levels, the same doubles as ``scipy.special.ndtri``
+    from ._normal import ndtri
 
-    z = ndtri(quantile_levels(m))
+    z = np.array([ndtri(t) for t in quantile_levels(m).tolist()])
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     return mu[..., None] + sigma[..., None] * z

@@ -184,9 +184,14 @@ def sphere_exp(base: np.ndarray, tangent: np.ndarray) -> np.ndarray:
     """Riemannian exponential map on the unit sphere."""
     base = np.asarray(base, dtype=float)
     tangent = np.ascontiguousarray(tangent, dtype=float)
-    norm = _norm(tangent)
-    if abs(base @ tangent) > 1e-8 * (1.0 + norm):
+    if abs(base @ tangent) > 1e-8 * (1.0 + _norm(tangent)):
         raise ValueError("tangent vector is not orthogonal to the base point")
+    return _sphere_exp(base, tangent)
+
+
+def _sphere_exp(base: np.ndarray, tangent: np.ndarray) -> np.ndarray:
+    """``sphere_exp`` of float vectors, ``tangent`` contiguous, unchecked."""
+    norm = _norm(tangent)
     if norm < 1e-15:
         return base.copy()
     out = np.cos(norm) * base + np.sin(norm) * tangent / norm
@@ -556,7 +561,7 @@ def _sphere_solve(ystack: np.ndarray, wn: np.ndarray, y: np.ndarray):
         p = state[0]
 
         def candidate(step):
-            return evaluate(sphere_exp(p, step * v))
+            return evaluate(_sphere_exp(p, step * v))
         return candidate
 
     cur, state = evaluate(y)

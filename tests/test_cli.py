@@ -515,14 +515,41 @@ def test_cli_predict_rows_equal_library_predictions(tmp_path, kind, space,
             assert np.array_equal(w, np.full(4, 0.25))
 
 
-def test_simulate_wasserstein_does_not_load_scipy_stats(tmp_path):
+_BLOCK_SCIPY = """
+import importlib.abc, sys
+
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+
+def test_simulate_runs_with_scipy_unimportable(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys; from frechetforest import cli; "
-            "rc = cli.main(['simulate', '--scenario', 'I-2', '--n', '20', "
-            f"'--seed', '1', '--out-dir', {str(tmp_path / 'd')!r}]); "
-            "print(rc, 'scipy.stats' in sys.modules)")
+    commands = {sc: ["simulate", "--scenario", sc, "--p", "2", "--n", "20",
+                     "--seed", "1"] for sc in ("I-1", "I-2", "I-3")}
+    code = _BLOCK_SCIPY + (
+        "from frechetforest import cli\n"
+        f"for sc, cmd in {commands!r}.items():\n"
+        f"    out = {str(tmp_path / 'blocked')!r} + '/' + sc\n"
+        "    print(cli.main(cmd + ['--out-dir', out]))\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy'))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["0", "False"]
-    assert (tmp_path / "d" / "Y.csv").exists()
+    assert proc.stdout.splitlines() == ["0", "0", "0", "[]"]
+    for sc, cmd in commands.items():
+        ref = tmp_path / "in-process" / sc
+        assert cli.main(cmd + ["--out-dir", str(ref)]) == 0
+        names = sorted(os.listdir(ref))
+        assert sorted(os.listdir(tmp_path / "blocked" / sc)) == names
+        assert "Y.csv" in names
+        for name in names:
+            assert ((tmp_path / "blocked" / sc / name).read_bytes()
+                    == (ref / name).read_bytes())

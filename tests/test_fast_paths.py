@@ -9,11 +9,12 @@ affine forests), the optimality of the affine means that growth keeps,
 the per-index-set ``node_ss`` memo of the curved-space split engine, the
 split sums shared by the cross-validation forests of one fold, the sphere
 descent that carries its angles (checked against the solver of earlier
-versions), the split scores shared by the trees of one scope, the
-per-leaf means behind ``predict_frf`` (read from growth where it solved
-them, otherwise solved as growth solves a node, so a model loaded from
-its document predicts as the grown one, bit for bit), and the batched
-sphere descent of ``weighted_frechet_means`` (checked row by row against
+versions) and steps with the unchecked exponential map, the split scores
+shared by the trees of one scope, the per-leaf means behind
+``predict_frf`` (read from growth where it solved them, otherwise solved
+as growth solves a node, so a model loaded from its document predicts as
+the grown one, bit for bit), and the batched sphere descent of
+``weighted_frechet_means`` (checked row by row against
 ``weighted_frechet_mean``).
 
 Under signed weights a curved mean is one descent from the usual start,
@@ -263,6 +264,51 @@ def test_affine_forests_equal_earlier_sqrt_descent(monkeypatch, split_method,
     got = _affine_forests(split_method, honest)
     monkeypatch.setattr(spaces, "_affine_sqrt_dist2", _old_affine_sqrt_dist2)
     assert got == _affine_forests(split_method, honest)
+
+
+def _sphere_forests(split_method):
+    """Trees (``to_dict`` JSON) and kept leaf means of seeded III-2
+    forests."""
+    from frechetforest import simulate
+    out = []
+    for seed in (2, 3):
+        data = simulate.generate(simulate.SimSetting("III-2", p=2, n=50),
+                                 np.random.default_rng(seed))
+        model = fit_forest(data.X, data.Y, data.space, ForestConfig(
+            num_trees=3, master_seed=seed, tree=TreeConfig(
+                max_depth=4, min_leaf=3, split_method=split_method)))
+        for t in model.trees:
+            out.append((json.dumps(t.to_dict()), t.leaf_means))
+    return out
+
+
+@pytest.mark.parametrize("split_method", ["two_means", "exhaustive"])
+def test_sphere_forests_equal_checked_step(monkeypatch, split_method):
+    # the descent's candidates call the unchecked ``_sphere_exp``; the
+    # public map as it was, with its conversions and orthogonality check,
+    # must grow the same trees and keep the same means, bit for bit
+    calls = []
+
+    def checked_step(base, tangent):
+        calls.append(1)
+        base = np.asarray(base, dtype=float)
+        tangent = np.ascontiguousarray(tangent, dtype=float)
+        norm = spaces._norm(tangent)
+        if abs(base @ tangent) > 1e-8 * (1.0 + norm):
+            raise ValueError("tangent vector is not orthogonal")
+        if norm < 1e-15:
+            return base.copy()
+        out = np.cos(norm) * base + np.sin(norm) * tangent / norm
+        return out / spaces._norm(out)
+
+    got = _sphere_forests(split_method)
+    monkeypatch.setattr(spaces, "_sphere_exp", checked_step)
+    want = _sphere_forests(split_method)
+    assert calls
+    assert [doc for doc, _ in got] == [doc for doc, _ in want]
+    for (_, means), (_, ref) in zip(got, want):
+        assert means.keys() == ref.keys()
+        assert all(np.array_equal(means[k], ref[k]) for k in ref)
 
 
 @pytest.mark.parametrize("space", [spd_space(2, "affine"),
