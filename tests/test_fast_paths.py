@@ -266,14 +266,10 @@ def test_affine_forests_equal_earlier_sqrt_descent(monkeypatch, split_method,
     assert got == _affine_forests(split_method, honest)
 
 
-def _sphere_forests(split_method):
-    """Trees (``to_dict`` JSON) and kept leaf means of seeded III-2
-    forests."""
-    from frechetforest import simulate
+def _sphere_forests(datasets, split_method):
+    """Trees (``to_dict`` JSON) and kept leaf means of seeded forests."""
     out = []
-    for seed in (2, 3):
-        data = simulate.generate(simulate.SimSetting("III-2", p=2, n=50),
-                                 np.random.default_rng(seed))
+    for seed, data in datasets:
         model = fit_forest(data.X, data.Y, data.space, ForestConfig(
             num_trees=3, master_seed=seed, tree=TreeConfig(
                 max_depth=4, min_leaf=3, split_method=split_method)))
@@ -287,23 +283,27 @@ def test_sphere_forests_equal_checked_step(monkeypatch, split_method):
     # the descent's candidates call the unchecked ``_sphere_exp``; the
     # public map as it was, with its conversions and orthogonality check,
     # must grow the same trees and keep the same means, bit for bit
+    from frechetforest import simulate
+    datasets = [(seed, simulate.generate(
+        simulate.SimSetting("III-2", p=2, n=50), np.random.default_rng(seed)))
+        for seed in (2, 3)]
     calls = []
 
     def checked_step(base, tangent):
         calls.append(1)
         base = np.asarray(base, dtype=float)
         tangent = np.ascontiguousarray(tangent, dtype=float)
-        norm = spaces._norm(tangent)
+        norm = np.sqrt(tangent.dot(tangent))
         if abs(base @ tangent) > 1e-8 * (1.0 + norm):
             raise ValueError("tangent vector is not orthogonal")
         if norm < 1e-15:
             return base.copy()
         out = np.cos(norm) * base + np.sin(norm) * tangent / norm
-        return out / spaces._norm(out)
+        return out / np.sqrt(out.dot(out))
 
-    got = _sphere_forests(split_method)
+    got = _sphere_forests(datasets, split_method)
     monkeypatch.setattr(spaces, "_sphere_exp", checked_step)
-    want = _sphere_forests(split_method)
+    want = _sphere_forests(datasets, split_method)
     assert calls
     assert [doc for doc, _ in got] == [doc for doc, _ in want]
     for (_, means), (_, ref) in zip(got, want):
