@@ -1,8 +1,9 @@
 """Command-line interface: dataset I/O, fit/predict, tuning, benchmarks.
 
 Subcommands: ``fit``, ``predict``, ``tune``, ``simulate``, ``bench-table``.
-Options can come from a JSON config document (``--config``); explicit flags
-override config fields.  All numeric output uses 17 significant digits and
+Options can come from a JSON config document (``--config``), whose fields
+are read as the command's flags of the same name; explicit flags override
+config fields.  All numeric output uses 17 significant digits and
 files are written atomically (temp file + rename), so a fixed seed yields
 byte-identical artifacts regardless of parallelism.
 """
@@ -147,8 +148,13 @@ def _space_from_args(args) -> spaces.MetricSpace:
     return spaces.MetricSpace(args.space, int(args.dim), args.normalization)
 
 
-def _config_defaults(args) -> dict:
-    """Option values from the JSON config document named by ``--config``."""
+def _config_tokens(parser: argparse.ArgumentParser, args) -> list:
+    """The fields of the ``--config`` document as the command's own flags.
+
+    Each field is checked as its flag's value would be: a switch takes
+    only JSON ``true`` or ``false``, a list option a JSON list, and a field
+    that names no option of the command is an error.
+    """
     if not os.path.exists(args.config):
         raise CliError(f"config file not found: {args.config}")
     with open(args.config) as handle:
@@ -156,9 +162,44 @@ def _config_defaults(args) -> dict:
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
             raise CliError(f"config parse failure: {exc}")
-    fields = {key.replace("-", "_"): value for key, value in doc.items()}
-    return {key: value for key, value in fields.items()
-            if hasattr(args, key) and key not in ("command", "config")}
+    if not isinstance(doc, dict):
+        raise CliError("config document is not a JSON object")
+    commands = next(a for a in parser._actions if a.dest == "command")
+    options = {a.dest: a for a in commands.choices[args.command]._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    tokens = []
+    for key, value in doc.items():
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise CliError(f"config field {key!r} is not an option of "
+                           f"{args.command}", field=key)
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            if type(value) is not bool:
+                raise CliError(f"config field {key!r} is a switch: it must "
+                               "be true or false", field=key)
+            if value:
+                tokens.append(flag)
+            continue
+        values = value if action.nargs == "+" else [value]
+        if not (type(values) is list and values
+                and all(_parses_as(action, v) for v in values)):
+            raise CliError(f"config field {key!r} has a bad value "
+                           f"{json.dumps(value)} for {flag}", field=key)
+        tokens += ([flag, *map(str, values)] if action.nargs == "+"
+                   else [f"{flag}={value}"])
+    return tokens
+
+
+def _parses_as(action: argparse.Action, value) -> bool:
+    """Whether a JSON scalar is a valid value of ``action``'s flag."""
+    if type(value) not in (str, int, float):
+        return False
+    try:
+        parsed = (action.type or str)(str(value))
+    except ValueError:
+        return False
+    return action.choices is None or parsed in action.choices
 
 
 def _require_seed(args) -> int:
@@ -208,6 +249,15 @@ def cmd_fit(args) -> None:
     atomic_write(args.out, json.dumps(doc) + "\n")
 
 
+def _finite(path, field: str, values) -> np.ndarray:
+    """``values`` of a model file's ``field`` as floats, all finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise CliError(f"model file {path} has a non-finite {field}",
+                       path=path, field=field)
+    return values
+
+
 def _load_model(path):
     """The estimator kind and fitted model (GFR or forest) of a model file."""
     if not os.path.exists(path):
@@ -223,16 +273,24 @@ def _load_model(path):
         kind = doc["estimator"]
         if kind == "gfr":
             space = spaces.MetricSpace.from_dict(doc["space"])
-            Y = rows_to_objects(np.asarray(doc["Y"]), space)
-            return kind, regressors.fit_gfr(np.asarray(doc["X"]), Y, space)
+            X = _finite(path, "X", doc["X"])
+            Y = rows_to_objects(_finite(path, "Y", doc["Y"]), space)
+            return kind, regressors.fit_gfr(X, Y, space)
         if kind not in regressors.FOREST_KINDS:
             raise CliError(f"unknown estimator {kind!r} in model file",
                            path=path)
         model = forest_mod.model_from_dict(doc["model"])
+        _finite(path, "X", model.X)
+        _finite(path, "Y", model.Y)
         n, p = model.X.shape
         # checked on the document: loading reads a leaf index 0.5 as 0
         for v in (v for t in doc["model"]["trees"]
                   for v in iter_nodes(t["root"])):
+            c = v["rule"]["threshold"] if "rule" in v else 0.0  # leaf
+            if type(c) not in (int, float) or not math.isfinite(c):
+                raise CliError(f"model file {path} has a bad threshold: it "
+                               "must be a finite number",
+                               path=path, field="threshold")
             field, size = ("feature", p) if "rule" in v else ("leaf", n)
             values = [v["rule"]["feature"]] if "rule" in v else v["leaf"]
             if not (type(values) is list and values and all(
@@ -407,8 +465,7 @@ def _add_setting(sub):
                      choices=("logcholesky", "affine"))
 
 
-def build_parser(defaults=None) -> argparse.ArgumentParser:
-    """The CLI parser; ``defaults`` replace the built-in option defaults."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frechetforest",
         description="Random-forest-weighted Fréchet regression toolkit")
@@ -461,10 +518,6 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     _add_split(bench)
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--out-dir", required=True)
-
-    if defaults:
-        for sub in subs.choices.values():
-            sub.set_defaults(**defaults)
     return parser
 
 
@@ -478,11 +531,15 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.config:
-            # config fields become defaults: flag > config > built-in default
-            args = build_parser(_config_defaults(args)).parse_args(argv)
+            # config fields go before the command line's flags, which so
+            # override them; the command is the first token
+            argv = sys.argv[1:] if argv is None else list(argv)
+            args = parser.parse_args(
+                argv[:1] + _config_tokens(parser, args) + argv[1:])
         _DISPATCH[args.command](args)
     except CliError as exc:
         payload = {"error": str(exc), "command": args.command}

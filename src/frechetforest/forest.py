@@ -52,10 +52,6 @@ class ForestModel:
     Y: np.ndarray
     space: MetricSpace
     config: ForestConfig
-    # per-leaf Frechet means, filled on demand by ``regressors.leaf_means``;
-    # derived from the fields above and never serialised
-    leaf_mean_cache: dict = field(default_factory=dict, init=False,
-                                  repr=False, compare=False)
 
     @property
     def n_samples(self) -> int:

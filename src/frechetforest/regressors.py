@@ -6,7 +6,8 @@ Forest-based estimators (need a fitted
 * ``rfwlcfr`` -- weighted Frechet mean under the forest kernel weights.
 * ``rfwllfr`` -- weighted Frechet mean under signed local-linear weights
   built from the forest kernel.
-* ``frf``     -- Frechet mean of the per-tree leaf Frechet means.
+* ``frf``     -- Frechet mean of the per-tree predictions, the leaf means
+  that :func:`~frechetforest.tree.tree_predict` solves once per tree.
 
 With ``return_info=True`` these and ``predict_gfr`` return the object and
 the mean solver's info, plus ``"weights"``: the weights it averaged.
@@ -36,8 +37,7 @@ import numpy as np
 from . import spaces
 from .forest import ForestConfig, ForestModel, fit_forest, kernel_weights
 from .spaces import MetricSpace
-from .tree import (TreeConfig, depth_grid, leaf_for, leaf_mean,
-                   shared_node_sums)
+from .tree import TreeConfig, depth_grid, shared_node_sums, tree_predict
 
 FOREST_KINDS = ("rfwlcfr", "rfwllfr", "frf")
 KERNEL_KINDS = ("nw", "lfr_kernel")
@@ -106,31 +106,14 @@ def predict_rfwllfr(model: ForestModel, x: np.ndarray,
                  return_info)
 
 
-def leaf_means(model: ForestModel, x: np.ndarray) -> np.ndarray:
-    """Per-tree predictions at ``x``: the Frechet means of its leaves.
-
-    A leaf's equal-weight mean depends only on the model, so each index
-    set's :func:`~frechetforest.tree.leaf_mean` (the mean growth solved,
-    where it kept one) is taken once and kept in ``model.leaf_mean_cache``.
-    """
-    cache = model.leaf_mean_cache
-    out = []
-    for t in model.trees:
-        idx = leaf_for(t, x)
-        key = idx.tobytes()
-        mean = cache.get(key)
-        if mean is None:
-            mean = cache[key] = leaf_mean(t, idx, model.Y, model.space)
-        out.append(mean)
-    return np.stack(out)
-
-
 def predict_frf(model: ForestModel, x: np.ndarray, return_info: bool = False):
-    """Two-stage prediction: Frechet mean of the per-tree predictions.
+    """Two-stage prediction: Frechet mean of the per-tree predictions
+    (:func:`~frechetforest.tree.tree_predict`).
 
     Its info is the second-stage solver's, with weights ``1/B`` per tree.
     """
-    preds = leaf_means(model, x)
+    preds = np.stack([tree_predict(t, x, model.Y, model.space)
+                      for t in model.trees])
     B = len(preds)
     return _mean(model.space, preds, np.ones(B), return_info,
                  reported=np.full(B, 1.0 / B))

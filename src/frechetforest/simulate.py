@@ -284,6 +284,13 @@ class MonteCarloConfig:
     split_method: str = "two_means"
     honest: bool = False
 
+    def __post_init__(self):
+        for name in ("runs", "test_size", "num_trees", "cv_trees"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.folds < 2:
+            raise ValueError("folds must be >= 2")
+
 
 @dataclass
 class MonteCarloResult:

@@ -416,9 +416,9 @@ def weighted_frechet_mean(space: MetricSpace, ystack: np.ndarray,
     return out
 
 
-def sum_sq_to_mean(space: MetricSpace, ystack: np.ndarray,
-                   return_mean: bool = False):
-    """Sum of squared distances from the objects to their Frechet mean.
+def sum_sq_to_mean(space: MetricSpace, ystack: np.ndarray):
+    """``(sum, mean)``: the sum of squared distances from the objects to
+    their Frechet mean, and that mean.
 
     This is the node impurity of tree growth.  A partition and its mirror
     image on another feature score gains that tie up to rounding, and the
@@ -427,8 +427,7 @@ def sum_sq_to_mean(space: MetricSpace, ystack: np.ndarray,
     to those of earlier versions.  ``weighted_frechet_mean`` uses the
     faster moving-frame form, which agrees to rounding.
 
-    With ``return_mean=True`` returns ``(sum, mean)``, the mean the sum is
-    measured from: ``weighted_frechet_mean`` under equal weights, bit for
+    The mean is ``weighted_frechet_mean``'s under equal weights, bit for
     bit, or in the affine space the square-root descent's final iterate.
     """
     ystack = np.asarray(ystack, dtype=float)
@@ -441,7 +440,7 @@ def sum_sq_to_mean(space: MetricSpace, ystack: np.ndarray,
         dist2, mean = _affine_sqrt_dist2(ystack, wn,
                                          _logchol_start(space, ystack, wn))
         ss = float(w @ dist2)
-    return (ss, mean) if return_mean else ss
+    return ss, mean
 
 
 def weighted_frechet_means(space: MetricSpace, ystack: np.ndarray,

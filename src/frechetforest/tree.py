@@ -21,8 +21,9 @@ A split engine keeps one record per distinct index set: its sum of
 squares, each feature's best split, and on curved spaces the Frechet mean
 the sum was measured from.  Inside :func:`shared_node_sums` the trees grown
 on the same responses share one engine, so cross-validation pays once per
-distinct node, not once per grid cell; a tree keeps the means of the leaves
-that growth solved, so ``frf`` does not solve them again.
+distinct node, not once per grid cell.  A tree's one store of leaf means,
+``FrechetTree.leaf_means``, holds those growth solved and those
+:func:`tree_predict` solved since, so a leaf is solved at most once.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class FrechetTree:
     subsample_indices: np.ndarray
     structure_indices: Optional[np.ndarray] = None
     prediction_half: Optional[np.ndarray] = None
-    # leaf means that growth already solved, by index bytes; not serialised
+    # leaf means by index bytes, from growth or tree_predict; not serialised
     leaf_means: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_dict(self) -> dict:
@@ -235,8 +236,7 @@ class _MetricResponses(_Responses):
     """
 
     def _solve(self, idx: np.ndarray) -> _Node:
-        return _Node(*spaces.sum_sq_to_mean(self.space, self.ystack[idx],
-                                            return_mean=True))
+        return _Node(*spaces.sum_sq_to_mean(self.space, self.ystack[idx]))
 
     def node_ss(self, idx: np.ndarray) -> float:
         return self.node(idx).ss
@@ -477,21 +477,19 @@ def leaf_for(tree: FrechetTree, x: np.ndarray) -> np.ndarray:
     return node["leaf"]
 
 
-def leaf_mean(tree: FrechetTree, idx: np.ndarray, ystack: np.ndarray,
-              space: MetricSpace) -> np.ndarray:
-    """Equal-weight Frechet mean of ``ystack[idx]``, a leaf of ``tree``
-    grown on ``ystack``, as growth solves a node (``sum_sq_to_mean``): the
-    mean growth kept, else solved so, and so the same for a loaded tree."""
-    mean = tree.leaf_means.get(idx.tobytes())
-    return mean if mean is not None else spaces.sum_sq_to_mean(
-        space, ystack[idx], return_mean=True)[1]
-
-
 def tree_predict(tree: FrechetTree, x: np.ndarray, ystack: np.ndarray,
                  space: MetricSpace) -> np.ndarray:
-    """The :func:`leaf_mean` of the leaf that contains ``x``; ``ystack``
-    must be the responses ``tree`` was grown on, as a kept mean is used."""
-    return leaf_mean(tree, leaf_for(tree, x), ystack, space)
+    """Equal-weight Frechet mean of the leaf that contains ``x``, solved as
+    growth solves a node (``sum_sq_to_mean``) and kept in ``tree.leaf_means``,
+    so a loaded tree predicts as the fitted one.  ``ystack`` must be the
+    responses ``tree`` was grown on."""
+    idx = leaf_for(tree, x)
+    key = idx.tobytes()
+    mean = tree.leaf_means.get(key)
+    if mean is None:
+        mean = tree.leaf_means[key] = spaces.sum_sq_to_mean(space,
+                                                            ystack[idx])[1]
+    return mean
 
 
 def iter_nodes(root: dict):

@@ -229,6 +229,20 @@ def test_bench_table_rejects_a_repeated_estimator(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag", ["--runs", "--num-trees"])
+def test_bench_table_rejects_a_zero_count(tmp_path, capsys, flag):
+    # no run, or forests of no trees, would write NaN summaries
+    rc = cli.main(["bench-table", "--scenario", "I-1", "--p", "2", "--n",
+                   "30", "--runs", "1", "--estimators", "gfr",
+                   "--seed", "8", "--folds", "2", flag, "0",
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["command"] == "bench-table"
+    assert "must be >= 1" in err["error"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 3, "out_dir": str(tmp_path / "d")}))
@@ -284,6 +298,40 @@ def test_config_num_trees_takes_effect(tmp_path):
     assert len(model["trees"]) == 2
 
 
+def _fit_with_config(tmp_path, fields):
+    out = tmp_path / "data"
+    cli.main(["simulate", "--scenario", "I-1", "--p", "2", "--n", "30",
+              "--seed", "5", "--out-dir", str(out)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))
+    return cli.main(["fit", "--estimator", "rfwlcfr", "--space",
+                     "wasserstein", "--dim", "21", "--x", str(out / "X.csv"),
+                     "--y", str(out / "Y.csv"), "--seed", "1",
+                     "--config", str(cfg), "--out", str(tmp_path / "m.json")])
+
+
+@pytest.mark.parametrize("fields,field", [
+    ({"num_tress": 3}, "num_tress"),        # names no option
+    ({"honest": "false"}, "honest"),        # a switch takes true or false
+    ({"num_trees": 3.7}, "num_trees"),      # not an integer
+    ({"num_trees": "abc"}, "num_trees"),    # not a number
+], ids=["unknown-field", "string-switch", "float-count", "text-count"])
+def test_bad_config_field_is_an_error(tmp_path, capsys, fields, field):
+    assert _fit_with_config(tmp_path, fields) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["command"] == "fit"
+    assert err["field"] == field
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("honest", [False, True])
+def test_config_switch_takes_json_booleans(tmp_path, honest):
+    assert _fit_with_config(tmp_path, {"num_trees": 2, "honest": honest}) == 0
+    model = json.loads((tmp_path / "m.json").read_text())["model"]
+    assert model["config"]["tree"]["honest"] is honest
+    assert all(("structure" in t) is honest for t in model["trees"])
+
+
 def _fit_small_model(tmp_path, estimator="rfwllfr"):
     out = tmp_path / "data"
     cli.main(["simulate", "--scenario", "I-2", "--p", "2", "--n", "40",
@@ -328,6 +376,18 @@ def _one_split_model(rule, leaves=([0], [1])):
 _NO_THRESHOLD = _one_split_model({"feature": 0, "kind": "threshold"})
 
 
+def _nonfinite_model(estimator, key):
+    """A forest or GFR document (n = p = 2) with a non-finite ``key``:
+    infinity in ``X``, NaN in ``Y``."""
+    doc = json.loads(_one_split_model({"feature": 0, "threshold": 0.25}))
+    if estimator == "gfr":
+        doc = {"estimator": "gfr",
+               **{k: doc["model"][k] for k in ("space", "X", "Y")}}
+    data = doc if estimator == "gfr" else doc["model"]
+    data[key][1][0] = float("inf") if key == "X" else float("nan")
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("text, field", [
     ("{}", "estimator"),
     ("[1, 2]", None),
@@ -340,6 +400,13 @@ _NO_THRESHOLD = _one_split_model({"feature": 0, "kind": "threshold"})
     pytest.param(_one_split_model({"feature": 0, "kind": "representatives",
                                    "c_left": 0.2, "c_right": 0.8}),
                  "threshold", id="representatives-threshold"),
+    *(pytest.param(_one_split_model({"feature": 0, "threshold": c}),
+                   "threshold", id=f"threshold-{name}")
+      for name, c in [("nan", float("nan")), ("inf", float("inf")),
+                      ("text", "0.5"), ("bool", True)]),
+    *(pytest.param(_nonfinite_model(estimator, key), key,
+                   id=f"{estimator}-nonfinite-{key}")
+      for estimator in ("frf", "gfr") for key in ("X", "Y")),
     pytest.param(_one_split_model({"feature": 7, "threshold": 0.5}),
                  "feature", id="feature-7-of-2"),
     pytest.param(_one_split_model({"feature": -1, "threshold": 0.5}),

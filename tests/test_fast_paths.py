@@ -12,8 +12,8 @@ descent that carries its angles (checked against the solver of earlier
 versions) and steps with the unchecked exponential map, the split scores
 shared by the trees of one scope, the per-leaf means behind
 ``predict_frf`` (read from growth where it solved them, otherwise solved
-as growth solves a node, so a model loaded from its document predicts as
-the grown one, bit for bit), and the batched sphere descent of
+once per tree as growth solves a node, so a model loaded from its document
+predicts as the grown one, bit for bit), and the batched sphere descent of
 ``weighted_frechet_means`` (checked row by row against
 ``weighted_frechet_mean``).
 
@@ -186,11 +186,11 @@ def test_split_sums_match_earlier_versions_bit_for_bit(space):
             mean = _reference_affine_mean(space, ys, w)
         else:
             mean = weighted_frechet_mean(space, ys, w)
-        assert spaces.sum_sq_to_mean(space, ys) == \
+        assert spaces.sum_sq_to_mean(space, ys)[0] == \
             frechet_objective(space, ys, w, mean)
         if space.kind != spaces.SPD_AFFINE:
             # the mean growth keeps is the single solver's, bit for bit
-            kept = spaces.sum_sq_to_mean(space, ys, return_mean=True)[1]
+            kept = spaces.sum_sq_to_mean(space, ys)[1]
             assert np.array_equal(kept, mean)
 
 
@@ -394,7 +394,7 @@ def _fresh_leaf_means(model, x):
     out = []
     for t in model.trees:
         ys = model.Y[tree.leaf_for(t, x)]
-        mean = spaces.sum_sq_to_mean(model.space, ys, return_mean=True)[1]
+        mean = spaces.sum_sq_to_mean(model.space, ys)[1]
         single = weighted_frechet_mean(model.space, ys, np.ones(len(ys)))
         if model.space.kind == spaces.SPD_AFFINE:
             assert np.max(np.abs(mean - single)) <= 1e-5
@@ -421,15 +421,15 @@ def test_cached_frf_equals_per_tree_predictions(space):
                                     tree=TreeConfig(max_depth=4)))
     queries = rng.uniform(size=(15, 2))
     expected = [_fresh_frf(model, x) for x in queries]
-    for _ in range(2):  # the second pass is served from the cache
+    for _ in range(2):  # the second pass reads the means the trees kept
         for x, want in zip(queries, expected):
             assert np.array_equal(regressors.predict_frf(model, x), want)
             per_tree = [tree_predict(t, x, Y, space) for t in model.trees]
             assert np.array_equal(np.stack(per_tree),
                                   _fresh_leaf_means(model, x))
-    reached = {tree.leaf_for(t, x).tobytes()
-               for t in model.trees for x in queries}
-    assert len(model.leaf_mean_cache) == len(reached)
+    for t in model.trees:
+        assert {tree.leaf_for(t, x).tobytes() for x in queries} \
+            <= t.leaf_means.keys()
 
 
 @pytest.mark.parametrize("space,honest",
@@ -493,6 +493,33 @@ def test_loaded_model_predicts_as_the_grown_one(space, honest):
         for t, t_loaded in zip(model.trees, loaded.trees):
             assert np.array_equal(tree_predict(t_loaded, x, loaded.Y, space),
                                   tree_predict(t, x, Y, space))
+
+
+@pytest.mark.parametrize("space", [sphere_space(3), spd_space(2, "affine")],
+                         ids=lambda s: s.kind)
+def test_loaded_tree_solves_each_leaf_once(monkeypatch, space):
+    # a loaded tree keeps the leaf means tree_predict solves for it, so a
+    # second pass over the same queries solves nothing
+    rng = np.random.default_rng(67)
+    n = 60
+    X = rng.uniform(size=(n, 2))
+    Y = _objects(space, n, rng)
+    grown = grow_tree(X, Y, space, np.arange(n),
+                      TreeConfig(max_depth=4, min_leaf=3))
+    loaded = tree.FrechetTree.from_dict(json.loads(json.dumps(
+        grown.to_dict())))
+    queries = rng.uniform(size=(30, 2))
+    reached = {tree.leaf_for(loaded, x).tobytes() for x in queries}
+    assert 1 < len(reached) < len(queries)
+    solves = _counting_sum_sq(monkeypatch)
+    first = [tree_predict(loaded, x, Y, space) for x in queries]
+    assert len(solves) == len(reached)
+    solves.clear()
+    second = [tree_predict(loaded, x, Y, space) for x in queries]
+    assert not solves
+    for a, b, x in zip(first, second, queries):
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, tree_predict(grown, x, Y, space))
 
 
 # The sphere and affine solvers as they were before the shared descent,

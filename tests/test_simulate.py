@@ -157,6 +157,14 @@ def test_generators_deterministic():
     assert np.array_equal(d1.Y, d2.Y)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("runs", 0), ("test_size", 0), ("num_trees", 0), ("cv_trees", 0),
+    ("folds", 1)])
+def test_monte_carlo_config_rejects_counts_that_cannot_run(field, value):
+    with pytest.raises(ValueError, match=field):
+        MonteCarloConfig(**{field: value})
+
+
 _FAST = MonteCarloConfig(runs=2, test_size=20, num_trees=8, cv_trees=4,
                          folds=2, depth_grid=(3,), mtry_grid=(2,))
 
