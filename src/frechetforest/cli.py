@@ -2,10 +2,13 @@
 
 Subcommands: ``fit``, ``predict``, ``tune``, ``simulate``, ``bench-table``.
 Options can come from a JSON config document (``--config``), whose fields
-are read as the command's flags of the same name; explicit flags override
-config fields.  All numeric output uses 17 significant digits and
-files are written atomically (temp file + rename), so a fixed seed yields
-byte-identical artifacts regardless of parallelism.
+are read as the command's flags of the same name, required ones included;
+explicit flags override config fields.  The command line and the config
+are parsed in one pass, and every failure, usage errors included, exits 1
+with one error JSON line on stderr.  All numeric output uses 17
+significant digits and files are written atomically (temp file +
+rename), so a fixed seed yields byte-identical artifacts regardless of
+parallelism.
 """
 
 from __future__ import annotations
@@ -137,42 +140,31 @@ def save_dataset(dataset: simulate.Dataset, out_dir: str) -> None:
 # config plumbing
 
 
-def _space_from_args(args) -> spaces.MetricSpace:
-    if args.space is None:
-        raise CliError("--space is required")
-    if args.space not in spaces.KINDS:
-        raise CliError(f"unknown space {args.space!r}",
-                       choices=sorted(spaces.KINDS))
-    if args.dim is None:
-        raise CliError("--dim is required")
-    return spaces.MetricSpace(args.space, int(args.dim), args.normalization)
-
-
-def _config_tokens(parser: argparse.ArgumentParser, args) -> list:
-    """The fields of the ``--config`` document as the command's own flags.
+def _config_tokens(sub: argparse.ArgumentParser, command: str,
+                   path: str) -> list:
+    """The fields of the config document at ``path`` as ``sub``'s flags.
 
     Each field is checked as its flag's value would be: a switch takes
     only JSON ``true`` or ``false``, a list option a JSON list, and a field
     that names no option of the command is an error.
     """
-    if not os.path.exists(args.config):
-        raise CliError(f"config file not found: {args.config}")
-    with open(args.config) as handle:
+    if not os.path.exists(path):
+        raise CliError(f"config file not found: {path}")
+    with open(path) as handle:
         try:
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
             raise CliError(f"config parse failure: {exc}")
     if not isinstance(doc, dict):
         raise CliError("config document is not a JSON object")
-    commands = next(a for a in parser._actions if a.dest == "command")
-    options = {a.dest: a for a in commands.choices[args.command]._actions
+    options = {a.dest: a for a in sub._actions
                if a.option_strings and a.dest not in ("help", "config")}
     tokens = []
     for key, value in doc.items():
         action = options.get(key.replace("-", "_"))
         if action is None:
             raise CliError(f"config field {key!r} is not an option of "
-                           f"{args.command}", field=key)
+                           f"{command}", field=key)
         flag = action.option_strings[0]
         if action.nargs == 0:
             if type(value) is not bool:
@@ -202,27 +194,19 @@ def _parses_as(action: argparse.Action, value) -> bool:
     return action.choices is None or parsed in action.choices
 
 
-def _require_seed(args) -> int:
-    if args.seed is None:
-        raise CliError("--seed is mandatory (no wall-clock seeding)")
-    return int(args.seed)
-
-
 def _sim_setting(args) -> simulate.SimSetting:
     return simulate.SimSetting(
-        scenario=args.scenario, p=int(args.p), n=int(args.n),
-        sigma=None if args.sigma is None else float(args.sigma),
+        scenario=args.scenario, p=args.p, n=args.n, sigma=args.sigma,
         spd_metric=args.spd_metric)
 
 
-def _forest_config(args, seed: int) -> ForestConfig:
+def _forest_config(args) -> ForestConfig:
     tree = TreeConfig(
-        max_depth=int(args.max_depth), min_leaf=int(args.min_leaf),
-        mtry=None if args.mtry is None else int(args.mtry),
-        split_method=args.split_method, honest=bool(args.honest))
-    return ForestConfig(num_trees=int(args.num_trees), tree=tree,
+        max_depth=args.max_depth, min_leaf=args.min_leaf, mtry=args.mtry,
+        split_method=args.split_method, honest=args.honest)
+    return ForestConfig(num_trees=args.num_trees, tree=tree,
                         subsample_mode=args.subsample_mode,
-                        master_seed=seed)
+                        master_seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +214,7 @@ def _forest_config(args, seed: int) -> ForestConfig:
 
 
 def cmd_fit(args) -> None:
-    space = _space_from_args(args)
-    seed = _require_seed(args)
+    space = spaces.MetricSpace(args.space, args.dim, args.normalization)
     data = load_dataset(args.x, args.y, space, args.header)
     if args.estimator == "gfr":
         model = regressors.fit_gfr(data.X, data.Y, space)
@@ -239,13 +222,11 @@ def cmd_fit(args) -> None:
                "X": data.X.tolist(),
                "Y": objects_to_rows(data.Y).tolist(),
                "space": space.to_dict()}
-    elif args.estimator in regressors.FOREST_KINDS:
+    else:
         fmodel = forest_mod.fit_forest(data.X, data.Y, space,
-                                       _forest_config(args, seed))
+                                       _forest_config(args))
         doc = {"estimator": args.estimator,
                "model": forest_mod.model_to_dict(fmodel)}
-    else:
-        raise CliError(f"fit does not support estimator {args.estimator!r}")
     atomic_write(args.out, json.dumps(doc) + "\n")
 
 
@@ -256,6 +237,19 @@ def _finite(path, field: str, values) -> np.ndarray:
         raise CliError(f"model file {path} has a non-finite {field}",
                        path=path, field=field)
     return values
+
+
+def _model_objects(path, Y, n: int, space) -> np.ndarray:
+    """A model file's ``Y`` as ``n`` valid objects of ``space``."""
+    Y = np.asarray(Y, dtype=float)
+    if len(Y) != n:
+        raise CliError(f"model file {path} has {len(Y)} Y objects for {n} "
+                       "X rows", path=path, field="Y")
+    try:
+        return rows_to_objects(Y.reshape(n, -1), space)
+    except CliError as exc:
+        raise CliError(f"model file {path} has a bad Y: {exc}",
+                       **exc.details, path=path, field="Y")
 
 
 def _load_model(path):
@@ -274,15 +268,15 @@ def _load_model(path):
         if kind == "gfr":
             space = spaces.MetricSpace.from_dict(doc["space"])
             X = _finite(path, "X", doc["X"])
-            Y = rows_to_objects(_finite(path, "Y", doc["Y"]), space)
+            Y = _model_objects(path, doc["Y"], len(X), space)
             return kind, regressors.fit_gfr(X, Y, space)
         if kind not in regressors.FOREST_KINDS:
             raise CliError(f"unknown estimator {kind!r} in model file",
                            path=path)
         model = forest_mod.model_from_dict(doc["model"])
         _finite(path, "X", model.X)
-        _finite(path, "Y", model.Y)
         n, p = model.X.shape
+        model.Y = _model_objects(path, model.Y, n, model.space)
         # checked on the document: loading reads a leaf index 0.5 as 0
         for v in (v for t in doc["model"]["trees"]
                   for v in iter_nodes(t["root"])):
@@ -333,8 +327,7 @@ def cmd_predict(args) -> None:
 
 
 def cmd_tune(args) -> None:
-    space = _space_from_args(args)
-    seed = _require_seed(args)
+    space = spaces.MetricSpace(args.space, args.dim, args.normalization)
     data = load_dataset(args.x, args.y, space, args.header)
     if args.estimator in regressors.FOREST_KINDS:
         grid = regressors.forest_grid(len(data.X), data.X.shape[1],
@@ -345,7 +338,7 @@ def cmd_tune(args) -> None:
         raise CliError(f"tune does not support estimator {args.estimator!r}")
     best, table = regressors.tune_cv(
         data.X, data.Y, space, args.estimator, grid,
-        folds=int(args.folds), seed=seed, num_trees=int(args.num_trees))
+        folds=args.folds, seed=args.seed, num_trees=args.num_trees)
     for row in table:
         for fold, message in row["failures"]:
             print(json.dumps({"warning": "CV fold failed; scored inf",
@@ -366,15 +359,12 @@ def cmd_tune(args) -> None:
 
 
 def cmd_simulate(args) -> None:
-    seed = _require_seed(args)
-    setting = _sim_setting(args)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    dataset = simulate.generate(setting, rng)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed))
+    dataset = simulate.generate(_sim_setting(args), rng)
     save_dataset(dataset, args.out_dir)
 
 
 def cmd_bench_table(args) -> None:
-    seed = _require_seed(args)
     setting = _sim_setting(args)
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
     for i, e in enumerate(estimators):
@@ -385,14 +375,14 @@ def cmd_bench_table(args) -> None:
             raise CliError(f"estimator {e!r} is listed more than once",
                            estimator=e)
     cfg = simulate.MonteCarloConfig(
-        runs=int(args.runs), num_trees=int(args.num_trees),
-        cv_trees=int(args.cv_trees), folds=int(args.folds),
+        runs=args.runs, num_trees=args.num_trees, cv_trees=args.cv_trees,
+        folds=args.folds,
         depth_grid=tuple(args.depth_grid) if args.depth_grid else None,
         mtry_grid=tuple(args.mtry_grid) if args.mtry_grid else None,
-        min_leaf=int(args.min_leaf), split_method=args.split_method,
-        honest=bool(args.honest))
-    result = simulate.monte_carlo(setting, estimators, cfg, seed=seed,
-                                  n_jobs=int(args.jobs))
+        min_leaf=args.min_leaf, split_method=args.split_method,
+        honest=args.honest)
+    result = simulate.monte_carlo(setting, estimators, cfg, seed=args.seed,
+                                  n_jobs=args.jobs)
     label = f"{setting.scenario}_p{setting.p}_n{setting.n}"
     summary_rows = [[label, k, result.summary[k]["mean_mse"],
                      result.summary[k]["sd_mse"], result.summary[k]["runs"]]
@@ -418,16 +408,16 @@ def cmd_bench_table(args) -> None:
 # argument parsing
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config; flags override fields")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--header", action="store_true",
-                     help="input CSV files carry a header row")
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are ``CliError``s, not exits."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _add_space(sub):
-    sub.add_argument("--space", choices=sorted(spaces.KINDS), default=None)
-    sub.add_argument("--dim", type=int, default=None)
+    sub.add_argument("--space", choices=sorted(spaces.KINDS), required=True)
+    sub.add_argument("--dim", type=int, required=True)
     sub.add_argument("--normalization", default="riemann",
                      choices=("riemann", "euclidean"))
 
@@ -466,13 +456,12 @@ def _add_setting(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frechetforest",
         description="Random-forest-weighted Fréchet regression toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
 
     fit = subs.add_parser("fit", help="fit a model and persist it as JSON")
-    _add_common(fit)
     _add_space(fit)
     _add_forest(fit)
     fit.add_argument("--estimator", required=True,
@@ -482,13 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--out", required=True)
 
     pred = subs.add_parser("predict", help="predict at query points")
-    _add_common(pred)
     pred.add_argument("--model", required=True)
     pred.add_argument("--x", required=True)
     pred.add_argument("--out", required=True)
 
     tune = subs.add_parser("tune", help="cross-validated grid search")
-    _add_common(tune)
     _add_space(tune)
     tune.add_argument("--estimator", required=True,
                       choices=regressors.ALL_KINDS)
@@ -501,13 +488,11 @@ def build_parser() -> argparse.ArgumentParser:
                       default=None)
 
     sim = subs.add_parser("simulate", help="emit a synthetic dataset")
-    _add_common(sim)
     _add_setting(sim)
     sim.add_argument("--out-dir", required=True)
 
     bench = subs.add_parser("bench-table",
                             help="Monte-Carlo benchmark table")
-    _add_common(bench)
     _add_setting(bench)
     bench.add_argument("--estimators", required=True,
                        help="comma-separated estimator kinds")
@@ -518,6 +503,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_split(bench)
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--out-dir", required=True)
+    for sub in subs.choices.values():
+        sub.add_argument("--config", help="JSON config; flags override fields")
+    for sub in (fit, tune, sim, bench):
+        sub.add_argument("--seed", type=int, required=True)
+    for sub in (fit, pred, tune):
+        sub.add_argument("--header", action="store_true",
+                         help="input CSV files carry a header row")
     return parser
 
 
@@ -531,24 +523,30 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    subs = next(a for a in parser._actions if a.dest == "command").choices
+    command = argv[0] if argv and argv[0] in subs else None
+    # reads --config, or a prefix of it, as the parser will; a prefix that
+    # is ambiguous there still fails the parse below
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
     try:
-        if args.config:
-            # config fields go before the command line's flags, which so
-            # override them; the command is the first token
-            argv = sys.argv[1:] if argv is None else list(argv)
-            args = parser.parse_args(
-                argv[:1] + _config_tokens(parser, args) + argv[1:])
-        _DISPATCH[args.command](args)
+        path = pre.parse_known_args(argv[1:])[0].config if command else None
+        # config fields go before the command line's flags, which so
+        # override them
+        tokens = ([] if path is None
+                  else _config_tokens(subs[command], command, path))
+        args = parser.parse_args(argv[:1] + tokens + argv[1:])
+        _DISPATCH[command](args)
     except CliError as exc:
-        payload = {"error": str(exc), "command": args.command}
+        payload = {"error": str(exc), "command": command}
         payload.update(exc.details)
         print(json.dumps(payload), file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - uniform machine-readable exit
         payload = {"error": f"{type(exc).__name__}: {exc}",
-                   "command": args.command}
+                   "command": command}
         print(json.dumps(payload), file=sys.stderr)
         return 1
     return 0

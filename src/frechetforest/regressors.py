@@ -363,6 +363,8 @@ def cv_errors(X: np.ndarray, Y: np.ndarray, space: MetricSpace, kinds,
     """
     if folds < 2:
         raise ValueError("need at least 2 folds")
+    if kinds[0] in FOREST_KINDS:
+        ForestConfig(num_trees=num_trees)  # its checks, before any fit
     n = len(X)
     errors = {k: np.empty((len(grid), folds)) for k in kinds}
 

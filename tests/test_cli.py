@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -12,7 +13,8 @@ import pytest
 from frechetforest import cli, forest, regressors, simulate
 from frechetforest.cli import (CliError, atomic_write, load_dataset,
                                rows_to_objects, save_dataset)
-from frechetforest.spaces import spd_space, wasserstein_space
+from frechetforest.spaces import (spd_space, sphere_space,
+                                  wasserstein_space)
 
 
 def _write_csv(path, rows):
@@ -133,6 +135,23 @@ def test_tune_reports_each_failed_cv_fold(tmp_path, capsys):
     # the failed cell is left out of the table
     table = cli._parse_csv_matrix(str(tmp_path / "cv.csv"), header=True)
     assert table[:, 0].tolist() == [0.4, 0.8]
+
+
+def test_tune_rejects_zero_trees(tmp_path, capsys):
+    out = tmp_path / "data"
+    cli.main(["simulate", "--scenario", "I-1", "--p", "2", "--n", "40",
+              "--seed", "6", "--out-dir", str(out)])
+    capsys.readouterr()
+    rc = cli.main(["tune", "--estimator", "rfwlcfr", "--space",
+                   "wasserstein", "--dim", "21", "--x", str(out / "X.csv"),
+                   "--y", str(out / "Y.csv"), "--seed", "2", "--folds", "2",
+                   "--num-trees", "0", "--out", str(tmp_path / "cv.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["command"] == "tune"
+    assert "num_trees" in json.loads(err[0])["error"]
+    assert sorted(os.listdir(tmp_path)) == ["data"]
 
 
 def _tune_sphere_nw(tmp_path, bandwidths):
@@ -332,6 +351,90 @@ def test_config_switch_takes_json_booleans(tmp_path, honest):
     assert all(("structure" in t) is honest for t in model["trees"])
 
 
+def test_config_supplies_required_options(tmp_path):
+    flags, config = tmp_path / "flags", tmp_path / "config"
+    assert cli.main(["simulate", "--scenario", "I-1", "--seed", "1",
+                     "--out-dir", str(flags / "data")]) == 0
+    cfg = tmp_path / "simulate.json"
+    cfg.write_text(json.dumps({"scenario": "I-1", "seed": 1,
+                               "out_dir": str(config / "data")}))
+    assert cli.main(["simulate", "--config", str(cfg)]) == 0
+    names = sorted(os.listdir(flags / "data"))
+    assert names == sorted(os.listdir(config / "data"))
+    for name in names:
+        assert ((flags / "data" / name).read_bytes()
+                == (config / "data" / name).read_bytes())
+    fields = {"estimator": "rfwlcfr", "space": "wasserstein", "dim": 21,
+              "x": str(flags / "data" / "X.csv"),
+              "y": str(flags / "data" / "Y.csv"), "seed": 1}
+    argv = ["fit"]
+    for key, value in fields.items():
+        argv += [f"--{key}", str(value)]
+    assert cli.main(argv + ["--out", str(flags / "m.json")]) == 0
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps({**fields, "out": str(config / "m.json")}))
+    assert cli.main(["fit", "--config", str(cfg)]) == 0
+    assert ((flags / "m.json").read_bytes()
+            == (config / "m.json").read_bytes())
+
+
+@pytest.mark.parametrize("form", [["--config", "{}"], ["--config={}"],
+                                  ["--conf={}"], ["--conf", "{}"]],
+                         ids=["config", "config=", "conf=", "conf"])
+def test_config_flag_forms_and_override(tmp_path, form):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "I-1", "seed": 1, "n": 30,
+                               "out_dir": str(tmp_path / "d")}))
+    assert cli.main(["simulate", *(t.format(cfg) for t in form),
+                     "--n", "20"]) == 0
+    X = cli._parse_csv_matrix(str(tmp_path / "d" / "X.csv"), header=False)
+    assert len(X) == 20  # the flag wins over the config field
+
+
+@pytest.mark.parametrize("argv,command", [
+    ([], None),
+    (["bogus"], None),
+    (["simulate", "--scenario", "I-9", "--seed", "1", "--out-dir", "o"],
+     "simulate"),
+    (["fit", "--num-trees", "abc"], "fit"),
+    (["predict", "--x", "q.csv", "--out", "p.csv"], "predict"),
+    (["simulate", "--scenario", "I-1", "--seed", "1", "--out-dir", "o",
+      "--header"], "simulate"),
+], ids=["no-command", "unknown-command", "bad-choice", "bad-int",
+        "missing-required", "removed-option"])
+def test_usage_error_is_an_error_json(tmp_path, capsys, monkeypatch, argv,
+                                      command):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["command"] == command
+    assert "usage:" not in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: frechetforest")
+
+
+def test_readme_cli_examples_parse():
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme) as handle:
+        section = handle.read().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", "").splitlines()
+             if line.startswith("frechetforest ")]
+    parser = cli.build_parser()
+    commands = [parser.parse_args(shlex.split(line)[1:]).command
+                for line in lines]
+    assert sorted(commands) == sorted(cli._DISPATCH)
+
+
 def _fit_small_model(tmp_path, estimator="rfwllfr"):
     out = tmp_path / "data"
     cli.main(["simulate", "--scenario", "I-2", "--p", "2", "--n", "40",
@@ -388,6 +491,19 @@ def _nonfinite_model(estimator, key):
     return json.dumps(doc)
 
 
+def _sphere_model(estimator, edit):
+    """A forest or GFR document (n = p = 2) on the unit sphere in R^3 whose
+    ``Y`` rows are changed by ``edit``."""
+    doc = json.loads(_one_split_model({"feature": 0, "threshold": 0.25}))
+    data = doc["model"]
+    data["space"] = sphere_space(3).to_dict()
+    data["Y"] = edit([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    if estimator == "gfr":
+        doc = {k: data[k] for k in ("space", "X", "Y")}
+    doc["estimator"] = estimator
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("text, field", [
     ("{}", "estimator"),
     ("[1, 2]", None),
@@ -407,6 +523,13 @@ def _nonfinite_model(estimator, key):
     *(pytest.param(_nonfinite_model(estimator, key), key,
                    id=f"{estimator}-nonfinite-{key}")
       for estimator in ("frf", "gfr") for key in ("X", "Y")),
+    *(pytest.param(_sphere_model(estimator, edit), "Y",
+                   id=f"{estimator}-{name}")
+      for estimator in ("rfwlcfr", "gfr")
+      for name, edit in [("off-sphere", lambda Y: [[2.0, 0.0, 0.0]] * 2),
+                         ("fourth-coordinate",
+                          lambda Y: [y + [0.0] for y in Y]),
+                         ("missing-row", lambda Y: Y[:1])]),
     pytest.param(_one_split_model({"feature": 7, "threshold": 0.5}),
                  "feature", id="feature-7-of-2"),
     pytest.param(_one_split_model({"feature": -1, "threshold": 0.5}),
