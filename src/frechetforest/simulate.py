@@ -50,6 +50,9 @@ class SimSetting:
         # p > 2 scenarios place four coefficients, so p = 3 has no design
         if not (self.p == 2 or self.p >= 4) or self.n < 1:
             raise ValueError("need p = 2 or p >= 4, and n >= 1")
+        if self.sigma is not None and not (math.isfinite(self.sigma)
+                                           and self.sigma >= 0):
+            raise ValueError("sigma must be finite and >= 0")
 
     @property
     def noise(self) -> float:

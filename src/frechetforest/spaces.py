@@ -16,6 +16,9 @@ genuinely curved and use an iterative Riemannian descent solver.
 ``weighted_frechet_means`` solves many weight rows over one stack; on the
 sphere it runs one vectorised descent, which agrees with the single-problem
 ``weighted_frechet_mean`` within 1e-6.
+``sum_sq_to_means`` gives the split sums of many index sets; in the affine
+space one square-root descent solves them as rows, each bit for bit its
+own single solve.
 
 Objects are plain numpy arrays: a length-``m`` nondecreasing vector, an
 ``m x m`` SPD matrix, or a unit vector.  Collections of objects are stacked
@@ -86,8 +89,10 @@ def wasserstein_space(grid_size: int = 21,
 
 
 def spd_space(order: int, metric: str = "logcholesky") -> MetricSpace:
-    kind = SPD_LOGCHOLESKY if metric == "logcholesky" else SPD_AFFINE
-    return MetricSpace(kind, order)
+    kinds = {"logcholesky": SPD_LOGCHOLESKY, "affine": SPD_AFFINE}
+    if metric not in kinds:
+        raise ValueError(f"unknown SPD metric {metric!r}")
+    return MetricSpace(kinds[metric], order)
 
 
 def sphere_space(ambient_dim: int = 3) -> MetricSpace:
@@ -151,11 +156,6 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if np.max(np.abs(a - a.T)) > max(_SYM_TOL, _SYM_TOL * np.abs(a).max()):
         raise ValueError("matrix is not symmetric")
-    return _sym_exp(a)
-
-
-def _sym_exp(a: np.ndarray) -> np.ndarray:
-    """``matrix_exp`` without its symmetry check."""
     vals, vecs = np.linalg.eigh(a)
     return (vecs * np.exp(vals)) @ vecs.T
 
@@ -430,17 +430,29 @@ def sum_sq_to_mean(space: MetricSpace, ystack: np.ndarray):
     The mean is ``weighted_frechet_mean``'s under equal weights, bit for
     bit, or in the affine space the square-root descent's final iterate.
     """
+    return sum_sq_to_means(space, ystack, [np.arange(len(ystack))])[0]
+
+
+def sum_sq_to_means(space: MetricSpace, ystack: np.ndarray, sets) -> list:
+    """:func:`sum_sq_to_mean` of ``ystack[idx]`` for each index array in
+    the list ``sets``.  In the affine space one square-root descent solves
+    each block of about ``_BLOCK_ENTRIES`` objects, a set per row."""
     ystack = np.asarray(ystack, dtype=float)
-    w = np.ones(len(ystack))
+    out = []
     if space.kind != SPD_AFFINE:
-        mean = weighted_frechet_mean(space, ystack, w)
-        ss = frechet_objective(space, ystack, w, mean)
-    else:
-        wn = w / w.sum()
-        dist2, mean = _affine_sqrt_dist2(ystack, wn,
-                                         _logchol_start(space, ystack, wn))
-        ss = float(w @ dist2)
-    return ss, mean
+        for idx in sets:
+            ys, w = ystack[idx], np.ones(len(idx))
+            mean = weighted_frechet_mean(space, ys, w)
+            out.append((frechet_objective(space, ys, w, mean), mean))
+        return out
+    sizes = np.array([len(idx) for idx in sets], dtype=int)
+    block = (np.cumsum(sizes) - sizes) // _BLOCK_ENTRIES
+    for b in dict.fromkeys(block.tolist()):  # np.unique would load numpy.ma
+        stacks = [ystack[sets[i]] for i in np.flatnonzero(block == b)]
+        wns = [np.ones(len(ys)) / len(ys) for ys in stacks]
+        out += _affine_sqrt_dist2_rows(stacks, wns, [
+            _logchol_start(space, ys, wn) for ys, wn in zip(stacks, wns)])
+    return [(float(np.ones(len(d)) @ d), mean) for d, mean in out]
 
 
 def weighted_frechet_means(space: MetricSpace, ystack: np.ndarray,
@@ -497,7 +509,8 @@ def _descend(gradient, line, state, cur: float):
     starts from twice the accepted step, capped at 1.  It also stops when
     an accepted step improves by less than ``_OBJ_TOL``, and unconverged
     after ``_MAX_ITER`` iterations.  Returns the final state and the solver
-    info.  ``_sphere_solve_rows`` applies the same policy to many rows.
+    info.  ``_sphere_solve_rows`` and ``_affine_sqrt_dist2_rows`` apply the
+    same policy to many rows.
     """
     step = 1.0
     converged = False
@@ -704,36 +717,82 @@ def _affine_solve(ystack: np.ndarray, wn: np.ndarray, y: np.ndarray):
     return (y + y.T) / 2.0, info
 
 
-def _affine_sqrt_dist2(ystack: np.ndarray, wn: np.ndarray, y: np.ndarray):
-    """Unsigned affine descent in square-root form, as in earlier versions.
+def _affine_sqrt_dist2_rows(ystacks, wns, starts) -> list:
+    """Unsigned affine descents in square-root form, as in earlier versions:
+    row ``r`` descends over ``ystacks[r]`` with weights ``wns[r]`` from
+    ``starts[r]`` under ``_descend``'s policy, moving to ``y^1/2 exp(t V)
+    y^1/2`` with ``V`` the gradient whitened by ``y^-1/2``, and gives
+    ``(dist2, mean)``: the squared distances to its final iterate, bit for
+    bit those of ``dist2_to_point``, and that iterate.  All rows share each
+    ``eigh``, which LAPACK runs per matrix; whitening and log rebuild sum
+    in ``einsum``'s order; weighted sums and norms run per row.  So a row's
+    bits do not depend on the others."""
+    sizes = np.array([len(ys) for ys in ystacks])
+    Y, rid = np.concatenate(ystacks), np.repeat(np.arange(len(sizes)), sizes)
+    m = Y.shape[1]
+    cur, (P, SQ) = np.empty(len(sizes)), np.empty((2, len(sizes), m, m))
+    mids_all, dist2_all = np.empty_like(Y), np.empty(len(Y))
 
-    Takes the same steps as ``_affine_solve``, moving the iterate to
-    ``y^1/2 exp(t V) y^1/2`` with ``V`` the gradient whitened by ``y^-1/2``,
-    and returns the squared distances from the objects to the final
-    iterate, bit for bit those of ``dist2_to_point``, and that iterate.
-    The state is those distances, the whitened stack, ``y^1/2`` and ``y``.
-    """
-    def obj_and_state(p):
-        sq, isq = _sqrt_and_invsqrt(p)
-        mids = np.einsum("ij,njk,kl->nil", isq, ystack, isq)
+    def objects(rows):  # their objects, each one's row, each row's slice
+        on, n = np.zeros(len(sizes), dtype=bool), sizes[rows]
+        on[rows] = True
+        ends = np.cumsum(n).tolist()
+        return (np.flatnonzero(on[rid]),
+                np.repeat(np.arange(len(rows)), n),
+                [(r, slice(e - k, e))
+                 for r, e, k in zip(rows.tolist(), ends, n.tolist())])
+
+    def evaluate(rows, p):  # objectives at p, and a setter of the state
+        vals, vecs = np.linalg.eigh(p)
+        if np.any(vals[:, 0] <= 0):
+            raise ValueError("matrix is not positive definite")
+        s, vt = np.sqrt(vals)[:, None, :], np.swapaxes(vecs, 1, 2)
+        sel, loc, spans = objects(rows)
+        isq, ys = ((vecs / s) @ vt)[loc], Y[sel]
+        mids = np.zeros_like(ys)
+        for j, k in np.ndindex(m, m):  # einsum("ij,njk,kl->nil"), its order
+            mids += isq[:, :, j, None] * ys[:, j, k, None, None] \
+                * isq[:, None, k]
         mids = (mids + np.swapaxes(mids, 1, 2)) / 2.0
         dist2 = np.sum(np.log(np.maximum(np.linalg.eigvalsh(mids), 1e-300))
                        ** 2, axis=1)
-        return float(wn @ dist2), (dist2, mids, sq, p)
+        obj = np.array([wns[r] @ dist2[sl] for r, sl in spans])
 
-    def gradient(state):
-        vals, vecs = np.linalg.eigh(state[1])
-        logs = np.einsum("...ij,...j,...kj->...ik", vecs, np.log(vals), vecs)
-        return np.einsum("n,nij->ij", wn, logs)
+        def keep(kept):
+            r, o = rows[kept], kept[loc]
+            cur[r], P[r], SQ[r] = obj[kept], p[kept], ((vecs * s) @ vt)[kept]
+            mids_all[sel[o]], dist2_all[sel[o]] = mids[o], dist2[o]
+        return obj, keep
 
-    def line(state, v):
-        sq, sym = state[2], v + v.T
-
-        def candidate(step):
-            cand = sq @ _sym_exp(step * sym / 2.0) @ sq
-            return obj_and_state((cand + cand.T) / 2.0)
-        return candidate
-
-    cur, state = obj_and_state(y)
-    (dist2, _, _, y), _ = _descend(gradient, line, state, cur)
-    return dist2, y
+    step, live = np.ones(len(sizes)), np.ones(len(sizes), dtype=bool)
+    evaluate(np.arange(len(sizes)), np.stack(starts))[1](live.copy())
+    for _ in range(_MAX_ITER):
+        rows = np.flatnonzero(live)
+        if not rows.size:
+            break
+        sel, _, spans = objects(rows)
+        vals, vecs = np.linalg.eigh(mids_all[sel])
+        lv, logs = np.log(vals), np.zeros_like(vecs)
+        for j in range(m):  # einsum("...ij,...j,...kj->...ik"), its order
+            logs += vecs[:, :, j, None] * lv[:, j, None, None] \
+                * vecs[:, None, :, j]
+        v = np.stack([np.einsum("n,nij->ij", wns[r], logs[sl])
+                      for r, sl in spans])
+        flat = np.array([_norm(g.ravel(order="K")) < _GRAD_TOL for g in v])
+        live[rows[flat]] = False
+        rows, sym = rows[~flat], (v + np.swapaxes(v, 1, 2))[~flat]
+        while rows.size:  # step halving, the rows that have not moved yet
+            vals, vecs = np.linalg.eigh(step[rows, None, None] * sym / 2.0)
+            cand = (SQ[rows] @ ((vecs * np.exp(vals)[:, None, :])
+                                @ np.swapaxes(vecs, 1, 2)) @ SQ[rows])
+            obj, keep = evaluate(rows, (cand + np.swapaxes(cand, 1, 2)) / 2.0)
+            down = obj < cur[rows]
+            moved = rows[down]
+            live[moved[cur[moved] - obj[down] < _OBJ_TOL]] = False
+            keep(down)
+            step[moved] = np.minimum(1.0, 2.0 * step[moved])
+            step[rows[~down]] *= 0.5
+            go = ~down & (step[rows] >= _STEP_FLOOR)
+            live[rows[~down & ~go]] = False
+            rows, sym = rows[go], sym[go]
+    return [(dist2_all[sl], P[r]) for r, sl in objects(np.arange(len(P)))[2]]

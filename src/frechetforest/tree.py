@@ -17,6 +17,13 @@ With ``honest=True`` the subsample is split into a structure half (used to
 place splits) and a prediction half (the only indices stored in leaves, and
 thus the only ones that can carry kernel weight).
 
+A tree grows in rounds.  With ``mtry == p`` growth draws no features, so a
+round is a whole level of open nodes; otherwise it is the depth-first head
+alone, and the feature draws keep their order.  On the affine SPD space the
+engine queues every index set a round's split searches will solve, and its
+first miss solves them all in one batched square-root descent.  Trees are
+those of a node-by-node recursion, bit for bit.
+
 A split engine keeps one record per distinct index set: its sum of
 squares, each feature's best split, and on curved spaces the Frechet mean
 the sum was measured from.  Inside :func:`shared_node_sums` the trees grown
@@ -159,13 +166,20 @@ class _Responses:
         self.ystack = ystack
         self._ss = {}  # index bytes -> _Node
         self._xs = {}
+        self._pending = {}  # index bytes -> index set, solved at a miss
+        self.parts = {}  # (index bytes, split key) -> partitions of expect
 
     def node(self, idx: np.ndarray) -> _Node:
+        """The set's record; a miss solves it with every queued set."""
         key = idx.tobytes()
-        rec = self._ss.get(key)
-        if rec is None:
-            rec = self._ss[key] = self._solve(idx)
-        return rec
+        if key not in self._ss:
+            self._pending[key] = idx
+            self._ss.update(self._solve(self._pending))
+            self._pending = {}
+        return self._ss[key]
+
+    def expect(self, nodes, X: np.ndarray, config: TreeConfig) -> None:
+        """Queue nothing: this engine solves one set at a time."""
 
     def split_key(self, X: np.ndarray, config: TreeConfig, j: int) -> tuple:
         self._xs.setdefault(id(X), X)
@@ -194,8 +208,8 @@ class _EmbeddedResponses(_Responses):
         super().__init__(space, ystack)
         self.emb = spaces.embed(space, ystack)
 
-    def _solve(self, idx: np.ndarray) -> _Node:
-        return _Node(self.node_ss(idx))
+    def _solve(self, pending: dict) -> dict:
+        return {key: _Node(self.node_ss(idx)) for key, idx in pending.items()}
 
     def node_ss(self, idx: np.ndarray) -> float:
         e = self.emb[idx]
@@ -232,11 +246,37 @@ class _MetricResponses(_Responses):
     Each index set is solved once per engine: a winning split's children
     come back as the next nodes' totals, and different features often
     induce the same partition.  A record keeps the solved mean, which is a
-    leaf's prediction when the set becomes a leaf.
+    leaf's prediction when the set becomes a leaf.  On the affine space
+    growth queues a round's sets with :meth:`expect`, and the first miss
+    solves them all in one ``sum_sq_to_means`` call.
     """
 
-    def _solve(self, idx: np.ndarray) -> _Node:
-        return _Node(*spaces.sum_sq_to_mean(self.space, self.ystack[idx]))
+    def _solve(self, pending: dict) -> dict:
+        sums = spaces.sum_sq_to_means(self.space, self.ystack,
+                                      list(pending.values()))
+        return {key: _Node(*s) for key, s in zip(pending, sums)}
+
+    def expect(self, nodes, X: np.ndarray, config: TreeConfig) -> None:
+        """Queue the sets ``best_split`` will solve at these ``(samples,
+        features)`` nodes: each node, and both sides of each candidate
+        split of every feature it has no score for.  The partitions are
+        kept in ``parts`` for ``best_split``, so a feature's candidates are
+        still found once per node.  Only the affine space solves a queue
+        faster than set by set, so elsewhere nothing is queued."""
+        if self.space.kind != spaces.SPD_AFFINE:
+            return
+        for samples, feats in nodes:
+            key, sets = samples.tobytes(), [samples]
+            rec = self._ss.get(key)
+            for j in feats:
+                skey = self.split_key(X, config, j)
+                if rec is None or skey not in rec.splits:
+                    parts = self.parts[key, skey] = _partitions(
+                        self, samples, X[samples, j], config)
+                    sets += [samples[s] for _, m in parts for s in (m, ~m)]
+            for idx in sets:
+                if idx.tobytes() not in self._ss:
+                    self._pending[idx.tobytes()] = idx
 
     def node_ss(self, idx: np.ndarray) -> float:
         return self.node(idx).ss
@@ -351,25 +391,28 @@ def _midpoint_threshold(c_lo: float, c_hi: float) -> float:
     return math.nextafter((c_lo + c_hi) / 2.0, math.inf)
 
 
-def _feature_split(resp, samples: np.ndarray, values: np.ndarray,
-                   total_ss: float, config: TreeConfig) -> Optional[tuple]:
-    """Best ``(gain, threshold)`` of one feature, the lowest cutpoint on
-    ties, or None when no valid threshold has a positive gain."""
+def _partitions(resp, samples: np.ndarray, values: np.ndarray,
+                config: TreeConfig) -> list:
+    """``(threshold, left mask)`` of each candidate cut of one feature at a
+    node that leaves ``min_leaf`` samples a side, in increasing order."""
     k = config.min_leaf
-    n = len(samples)
     if config.split_method == "exhaustive":
-        thresholds = resp.threshold_candidates(samples, values, k)
+        cuts = resp.threshold_candidates(samples, values, k)
     elif np.all(values == values[0]):
-        return None
+        cuts = ()
     else:
-        thresholds = [_midpoint_threshold(*two_means_1d(values))]
+        cuts = (_midpoint_threshold(*two_means_1d(values)),)
+    masks = ((c, values < c) for c in cuts)
+    return [(c, m) for c, m in masks if k <= m.sum() <= len(values) - k]
+
+
+def _feature_split(resp, samples: np.ndarray, parts: list,
+                   total_ss: float) -> Optional[tuple]:
+    """Best ``(gain, threshold)`` over one feature's ``parts``, the lowest
+    cutpoint on ties, or None when no gain is positive."""
     best = None
     best_gain = 0.0
-    for c in thresholds:
-        mask = values < c
-        nl = int(mask.sum())
-        if nl < k or n - nl < k:
-            continue
+    for c, mask in parts:
         gain = _gain(resp, samples, mask, total_ss)
         if gain > best_gain:
             best_gain = gain
@@ -385,7 +428,8 @@ def best_split(samples: np.ndarray, candidate_features, X: np.ndarray,
     Validity requires both children to hold at least ``min_leaf`` samples
     and a strictly positive gain.  Ties break toward the lowest feature
     index, then the lowest cutpoint.  Each feature's best split is scored
-    once per engine and index set, and kept in the node's record.
+    once per engine and index set, and kept in the node's record, from
+    the partitions ``resp.expect`` found if it was asked.
     """
     if resp is None:
         resp = _responses_for(space, ystack)
@@ -396,8 +440,10 @@ def best_split(samples: np.ndarray, candidate_features, X: np.ndarray,
     for j in sorted(int(f) for f in candidate_features):
         key = resp.split_key(X, config, j)
         if key not in node.splits:
-            node.splits[key] = _feature_split(resp, samples, X[samples, j],
-                                              node.ss, config)
+            parts = resp.parts.pop((samples.tobytes(), key), None)
+            if parts is None:
+                parts = _partitions(resp, samples, X[samples, j], config)
+            node.splits[key] = _feature_split(resp, samples, parts, node.ss)
         score = node.splits[key]
         if score is not None and score[0] > best_gain:
             best_gain = score[0]
@@ -436,34 +482,38 @@ def grow_tree(X: np.ndarray, ystack: np.ndarray, space: MetricSpace,
         pred_half = subsample[perm[half:]]
         structure, prediction = struct_half, pred_half
 
-    def build(struct_idx: np.ndarray, pred_idx: np.ndarray,
-              depth: int) -> dict:
-        if (depth >= config.max_depth
-                or len(struct_idx) < 2 * config.min_leaf
-                or len(pred_idx) == 0):
-            return {"leaf": pred_idx}
-        if mtry < p:
-            feats = np.sort(rng.choice(p, size=mtry, replace=False))
-        else:
-            feats = np.arange(p)
-        rule = best_split(struct_idx, feats, X, ystack, space, config, resp)
-        if rule is None:
-            return {"leaf": pred_idx}
-        smask = X[struct_idx, rule["feature"]] < rule["threshold"]
-        pmask = X[pred_idx, rule["feature"]] < rule["threshold"]
-        left = build(struct_idx[smask], pred_idx[pmask], depth + 1)
-        right = build(struct_idx[~smask], pred_idx[~pmask], depth + 1)
-        # a side whose prediction set came up empty is merged into its sibling
-        if "leaf" in left and len(left["leaf"]) == 0:
-            return right
-        if "leaf" in right and len(right["leaf"]) == 0:
-            return left
-        return {"rule": rule, "left": left, "right": right}
-
-    root = build(structure, prediction, depth=1)
-    if "leaf" in root and len(root["leaf"]) == 0:
-        # only possible for pathological honest subsamples
-        root = {"leaf": prediction}
+    # a round searches every open node (a level) when growth draws no
+    # features, else only the depth-first head, so draws keep their order
+    root = {"leaf": prediction}
+    frontier = [(root, structure, 1)]
+    while frontier:
+        batch = frontier if mtry == p else frontier[:1]
+        frontier, children = frontier[len(batch):], []
+        search = [(node, idx, depth, np.sort(rng.choice(
+            p, size=mtry, replace=False)) if mtry < p else np.arange(p))
+            for node, idx, depth in batch
+            if depth < config.max_depth and len(idx) >= 2 * config.min_leaf]
+        resp.expect([(idx, feats) for _, idx, _, feats in search], X, config)
+        for node, idx, depth, feats in search:
+            rule = best_split(idx, feats, X, ystack, space, config, resp)
+            if rule is None:
+                continue
+            pred = node["leaf"]
+            left = X[idx, rule["feature"]] < rule["threshold"]
+            pleft = X[pred, rule["feature"]] < rule["threshold"]
+            if pleft.all() or not pleft.any():
+                # the side with no prediction indices is merged into its
+                # sibling, which grows in this node's place; so no open
+                # node has an empty prediction set
+                children.append((node, idx[left if pleft.any() else ~left],
+                                 depth + 1))
+                continue
+            del node["leaf"]
+            node.update(rule=rule, left={"leaf": pred[pleft]},
+                        right={"leaf": pred[~pleft]})
+            children += [(node["left"], idx[left], depth + 1),
+                         (node["right"], idx[~left], depth + 1)]
+        frontier = children + frontier
     tree = FrechetTree(root, subsample, struct_half, pred_half)
     tree.leaf_means = resp.solved_means(iter_leaves(tree))
     return tree

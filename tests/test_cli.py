@@ -234,6 +234,17 @@ def test_p3_setting_exits_nonzero(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+def test_simulate_rejects_a_bad_sigma(tmp_path, capsys, sigma):
+    rc = cli.main(["simulate", "--scenario", "I-1", "--sigma", sigma,
+                   "--seed", "1", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["command"] == "simulate"
+    assert "sigma must be finite and >= 0" in err["error"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_table_rejects_a_repeated_estimator(tmp_path, capsys):
     # a repeated name would be run and counted once per occurrence
     rc = cli.main(["bench-table", "--scenario", "I-1", "--p", "2", "--n",

@@ -27,12 +27,13 @@ reference, which the signed solves must match within 1e-5.
 
 import contextlib
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from frechetforest import regressors, spaces, tree
+from frechetforest import forest, regressors, spaces, tree
 from frechetforest.forest import (ForestConfig, fit_forest, model_from_dict,
                                   model_to_dict)
 from frechetforest.spaces import (frechet_objective, spd_space, sphere_space,
@@ -228,17 +229,46 @@ def _old_affine_sqrt_dist2(ystack, wn, y):
 
 
 @pytest.mark.parametrize("m", [2, 3])
-def test_sqrt_descent_equals_earlier_version_bit_for_bit(m):
+def test_sqrt_descent_equals_earlier_version_bit_for_bit(monkeypatch, m):
+    # rows of sizes 2-120 and of several spreads, so that they stop after
+    # different numbers of iterations, solved in calls of 1 to 30 rows:
+    # each row is the earlier single descent's, and its own solve alone
     rng = np.random.default_rng(59)
     space = spd_space(m, "affine")
-    for n in list(range(2, 30)) + list(range(30, 121, 9)):
-        ys = _objects(space, n, rng)
-        wn = np.ones(n) / n
-        start = spaces._logchol_start(space, ys, wn)
-        dist2, mean = spaces._affine_sqrt_dist2(ys, wn, start)
-        ref_dist2, ref_mean = _old_affine_sqrt_dist2(ys, wn, start)
-        assert np.array_equal(dist2, ref_dist2)
-        assert np.array_equal(mean, ref_mean)
+    sizes = list(range(2, 30)) + list(range(30, 121, 9))
+    stacks = []
+    for n in rng.permutation(sizes):
+        a = rng.choice([0.05, 0.4, 1.5]) * rng.normal(size=(n, m, m))
+        stacks.append(np.stack([spaces.matrix_exp((s + s.T) / 2.0)
+                                for s in a]))
+    wns = [np.ones(len(ys)) / len(ys) for ys in stacks]
+    starts = [spaces._logchol_start(space, ys, wn)
+              for ys, wn in zip(stacks, wns)]
+    iterations = []
+    descend = spaces._descend
+
+    def counting(*args):
+        state, info = descend(*args)
+        iterations.append(info["iterations"])
+        return state, info
+
+    bounds = [0, 1, 3, 8, 20, len(stacks)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = spaces._affine_sqrt_dist2_rows(stacks[lo:hi], wns[lo:hi],
+                                              starts[lo:hi])
+        assert len(rows) == hi - lo
+        for (dist2, mean), ys, wn, start in zip(
+                rows, stacks[lo:hi], wns[lo:hi], starts[lo:hi]):
+            with monkeypatch.context() as mp:
+                mp.setattr(spaces, "_descend", counting)
+                ref_dist2, ref_mean = _old_affine_sqrt_dist2(ys, wn, start)
+            assert np.array_equal(dist2, ref_dist2)
+            assert np.array_equal(mean, ref_mean)
+            [(alone_dist2, alone_mean)] = spaces._affine_sqrt_dist2_rows(
+                [ys], [wn], [start])
+            assert np.array_equal(dist2, alone_dist2)
+            assert np.array_equal(mean, alone_mean)
+    assert len(set(iterations)) >= 4
 
 
 def _affine_forests(split_method, honest):
@@ -262,7 +292,10 @@ def _affine_forests(split_method, honest):
 def test_affine_forests_equal_earlier_sqrt_descent(monkeypatch, split_method,
                                                    honest):
     got = _affine_forests(split_method, honest)
-    monkeypatch.setattr(spaces, "_affine_sqrt_dist2", _old_affine_sqrt_dist2)
+    monkeypatch.setattr(
+        spaces, "_affine_sqrt_dist2_rows", lambda ystacks, wns, starts: [
+            _old_affine_sqrt_dist2(*row)
+            for row in zip(ystacks, wns, starts)])
     assert got == _affine_forests(split_method, honest)
 
 
@@ -362,14 +395,7 @@ def test_memoised_node_ss_grows_identical_trees(monkeypatch, space,
     X = rng.uniform(size=(n, 2))
     Y = _objects(space, n, rng)
     cfg = TreeConfig(max_depth=4, min_leaf=3, split_method=split_method)
-    solves = []
-    original = spaces.sum_sq_to_mean
-
-    def counting(*args, **kwargs):
-        solves.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(spaces, "sum_sq_to_mean", counting)
+    solves = _counting_sum_sq(monkeypatch)
     for seed in range(3):
         sub = np.sort(np.random.default_rng(seed).integers(0, n, size=n))
         cfg_s = replace(cfg, seed=seed)
@@ -383,6 +409,128 @@ def test_memoised_node_ss_grows_identical_trees(monkeypatch, space,
             fresh = grow_tree(X, Y, space, sub, cfg_s).to_dict()
         assert json.dumps(memo) == json.dumps(fresh)
         assert memo_solves < len(solves)
+
+
+# grow_tree as it was before it grew a level at a time, kept as a
+# reference: a depth-first recursion that asks the public ``best_split``
+# for one node at a time, so each of its misses solves one index set.
+
+
+def _recursive_grow_tree(X, ystack, space, subsample_indices, config,
+                         rng=None):
+    subsample = np.asarray(subsample_indices, dtype=np.intp)
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
+    p = X.shape[1]
+    mtry = config.mtry if config.mtry is not None else p
+    resp = tree._responses_for(space, ystack)
+    structure = prediction = subsample
+    struct_half = pred_half = None
+    if config.honest:
+        perm = rng.permutation(len(subsample))
+        half = math.ceil(len(subsample) / 2)
+        struct_half = subsample[perm[:half]]
+        pred_half = subsample[perm[half:]]
+        structure, prediction = struct_half, pred_half
+
+    def build(struct_idx, pred_idx, depth):
+        if (depth >= config.max_depth
+                or len(struct_idx) < 2 * config.min_leaf
+                or len(pred_idx) == 0):
+            return {"leaf": pred_idx}
+        if mtry < p:
+            feats = np.sort(rng.choice(p, size=mtry, replace=False))
+        else:
+            feats = np.arange(p)
+        rule = tree.best_split(struct_idx, feats, X, ystack, space, config,
+                               resp)
+        if rule is None:
+            return {"leaf": pred_idx}
+        smask = X[struct_idx, rule["feature"]] < rule["threshold"]
+        pmask = X[pred_idx, rule["feature"]] < rule["threshold"]
+        left = build(struct_idx[smask], pred_idx[pmask], depth + 1)
+        right = build(struct_idx[~smask], pred_idx[~pmask], depth + 1)
+        if "leaf" in left and len(left["leaf"]) == 0:
+            return right
+        if "leaf" in right and len(right["leaf"]) == 0:
+            return left
+        return {"rule": rule, "left": left, "right": right}
+
+    root = build(structure, prediction, 1)
+    if "leaf" in root and len(root["leaf"]) == 0:
+        root = {"leaf": prediction}
+    grown = tree.FrechetTree(root, subsample, struct_half, pred_half)
+    grown.leaf_means = resp.solved_means(tree.iter_leaves(grown))
+    return grown
+
+
+def _trees_and_means(X, Y, space, p, split_method):
+    """``to_dict`` JSON and kept leaf means of seeded forests for mtry 1
+    and p, honest and not, grown outside and then inside one
+    ``shared_node_sums`` scope."""
+    cells = [TreeConfig(max_depth=4, min_leaf=3, mtry=mtry, honest=honest,
+                        split_method=split_method)
+             for mtry in (1, p) for honest in (False, True)]
+    models = [fit_forest(X, Y, space, ForestConfig(
+        num_trees=2, master_seed=9, tree=cfg)) for cfg in cells]
+    with tree.shared_node_sums():
+        models += [fit_forest(X, Y, space, ForestConfig(
+            num_trees=2, master_seed=9, tree=cfg)) for cfg in cells]
+    return [(json.dumps(t.to_dict()), t.leaf_means)
+            for model in models for t in model.trees]
+
+
+@pytest.mark.parametrize("space", [spd_space(2, "affine"), sphere_space(3)],
+                         ids=lambda s: s.kind)
+@pytest.mark.parametrize("p", [2, 4])
+@pytest.mark.parametrize("split_method", ["two_means", "exhaustive"])
+def test_level_rounds_grow_the_recursive_trees(monkeypatch, space, p,
+                                               split_method):
+    # a level per round when mtry == p, the depth-first head otherwise:
+    # the same trees and kept leaf means as the recursion, bit for bit
+    rng = np.random.default_rng(71)
+    n = 40
+    X = rng.uniform(size=(n, p))
+    Y = _objects(space, n, rng)
+    got = _trees_and_means(X, Y, space, p, split_method)
+    monkeypatch.setattr(forest, "grow_tree", _recursive_grow_tree)
+    want = _trees_and_means(X, Y, space, p, split_method)
+    assert [doc for doc, _ in got] == [doc for doc, _ in want]
+    assert any('"rule"' in doc for doc, _ in got)
+    for (_, means), (_, ref) in zip(got, want):
+        assert means.keys() == ref.keys()
+        assert all(np.array_equal(means[k], ref[k]) for k in ref)
+
+
+def test_level_rounds_solve_the_same_sets_in_few_calls(monkeypatch):
+    # with mtry == p a tree solves each level's split sums in one batched
+    # descent: the same distinct index sets as the recursion, which solves
+    # them one per call
+    rng = np.random.default_rng(73)
+    n, trees, max_depth = 60, 3, 5
+    space = spd_space(2, "affine")
+    X = rng.uniform(size=(n, 2))
+    Y = _objects(space, n, rng)
+    config = ForestConfig(num_trees=trees, master_seed=5, tree=TreeConfig(
+        max_depth=max_depth, min_leaf=3))
+    solves = _counting_sum_sq(monkeypatch)
+    calls = []
+    descent = spaces._affine_sqrt_dist2_rows
+
+    def counting(*args):
+        calls.append(1)
+        return descent(*args)
+
+    monkeypatch.setattr(spaces, "_affine_sqrt_dist2_rows", counting)
+    fit_forest(X, Y, space, config)
+    level_solves, level_calls = len(solves), len(calls)
+    solves.clear()
+    calls.clear()
+    monkeypatch.setattr(forest, "grow_tree", _recursive_grow_tree)
+    fit_forest(X, Y, space, config)
+    assert len(solves) == len(calls) > 5 * trees
+    assert level_solves == len(solves)
+    assert level_calls <= trees * (max_depth - 1)
 
 
 def _fresh_leaf_means(model, x):
@@ -763,14 +911,17 @@ def test_sphere_maps_equal_earlier_formulas_bit_for_bit(d):
 
 
 def _counting_sum_sq(monkeypatch):
+    """A list that gains one entry per index set solved for its sum of
+    squares: ``sum_sq_to_mean`` solves through ``sum_sq_to_means``, which
+    solves a set per row."""
     solves = []
-    original = spaces.sum_sq_to_mean
+    original = spaces.sum_sq_to_means
 
-    def counting(*args, **kwargs):
-        solves.append(1)
-        return original(*args, **kwargs)
+    def counting(space, ystack, sets):
+        solves.extend([1] * len(sets))
+        return original(space, ystack, sets)
 
-    monkeypatch.setattr(spaces, "sum_sq_to_mean", counting)
+    monkeypatch.setattr(spaces, "sum_sq_to_means", counting)
     return solves
 
 

@@ -165,6 +165,19 @@ def test_monte_carlo_config_rejects_counts_that_cannot_run(field, value):
         MonteCarloConfig(**{field: value})
 
 
+@pytest.mark.parametrize("sigma", [-1.0, -1e-300, math.nan, math.inf])
+def test_sim_setting_rejects_a_bad_sigma(sigma):
+    # a negative scale drew noise of the distribution of |sigma|
+    with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+        SimSetting("I-1", p=2, n=10, sigma=sigma)
+
+
+def test_sim_setting_takes_a_zero_sigma():
+    data = generate(SimSetting("I-1", p=2, n=10, sigma=0.0),
+                    np.random.default_rng(1))
+    assert np.array_equal(data.Y, data.truth)
+
+
 _FAST = MonteCarloConfig(runs=2, test_size=20, num_trees=8, cv_trees=4,
                          folds=2, depth_grid=(3,), mtry_grid=(2,))
 

@@ -318,3 +318,14 @@ def test_mean_rejects_nonfinite_weights_and_objects(space):
 def test_space_serialization_roundtrip():
     for space in ALL_SPACES:
         assert MetricSpace.from_dict(space.to_dict()) == space
+
+
+@pytest.mark.parametrize("metric", ["typo", "Affine", "log-cholesky", ""])
+def test_spd_space_rejects_an_unknown_metric(metric):
+    with pytest.raises(ValueError, match="unknown SPD metric"):
+        spd_space(2, metric)
+
+
+def test_spd_space_metrics():
+    assert spd_space(3).kind == spaces.SPD_LOGCHOLESKY
+    assert spd_space(2, "affine") == MetricSpace(spaces.SPD_AFFINE, 2)
