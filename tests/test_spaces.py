@@ -324,8 +324,3 @@ def test_space_serialization_roundtrip():
 def test_spd_space_rejects_an_unknown_metric(metric):
     with pytest.raises(ValueError, match="unknown SPD metric"):
         spd_space(2, metric)
-
-
-def test_spd_space_metrics():
-    assert spd_space(3).kind == spaces.SPD_LOGCHOLESKY
-    assert spd_space(2, "affine") == MetricSpace(spaces.SPD_AFFINE, 2)
