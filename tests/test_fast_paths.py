@@ -231,7 +231,7 @@ def _old_affine_sqrt_dist2(ystack, wn, y):
 @pytest.mark.parametrize("m", [2, 3])
 def test_sqrt_descent_equals_earlier_version_bit_for_bit(monkeypatch, m):
     # rows of sizes 2-120 and of several spreads, so that they stop after
-    # different numbers of iterations, solved in calls of 1 to 30 rows:
+    # different numbers of iterations, solved in calls of 1 to 19 rows:
     # each row is the earlier single descent's, and its own solve alone
     rng = np.random.default_rng(59)
     space = spd_space(m, "affine")
