@@ -214,7 +214,7 @@ def _forest_config(args) -> ForestConfig:
 
 
 def cmd_fit(args) -> None:
-    space = spaces.MetricSpace(args.space, args.dim, args.normalization)
+    space = spaces.MetricSpace(args.space, args.dim)
     data = load_dataset(args.x, args.y, space, args.header)
     if args.estimator == "gfr":
         model = regressors.fit_gfr(data.X, data.Y, space)
@@ -327,7 +327,7 @@ def cmd_predict(args) -> None:
 
 
 def cmd_tune(args) -> None:
-    space = spaces.MetricSpace(args.space, args.dim, args.normalization)
+    space = spaces.MetricSpace(args.space, args.dim)
     data = load_dataset(args.x, args.y, space, args.header)
     if args.estimator in regressors.FOREST_KINDS:
         grid = regressors.forest_grid(len(data.X), data.X.shape[1],
@@ -418,8 +418,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_space(sub):
     sub.add_argument("--space", choices=sorted(spaces.KINDS), required=True)
     sub.add_argument("--dim", type=int, required=True)
-    sub.add_argument("--normalization", default="riemann",
-                     choices=("riemann", "euclidean"))
 
 
 def _add_forest(sub):

@@ -38,11 +38,13 @@ class ForestConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ForestConfig":
+        # older files carry a tree seed, which no tree read
+        tree = {k: v for k, v in d["tree"].items() if k != "seed"}
         return ForestConfig(num_trees=d["num_trees"],
                             subsample_mode=d["subsample_mode"],
                             subsample_size=d["subsample_size"],
                             master_seed=d["master_seed"],
-                            tree=TreeConfig(**d["tree"]))
+                            tree=TreeConfig(**tree))
 
 
 @dataclass

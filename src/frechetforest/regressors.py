@@ -219,9 +219,18 @@ def predict_gfr(model: GFRModel, x: np.ndarray, return_info: bool = False):
 # kernel baselines
 
 
+def _check_bandwidth(h) -> float:
+    """``h`` as a float; raises ``ValueError`` unless finite and positive."""
+    h = float(h)
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"bandwidth must be finite and > 0, got {h!r}")
+    return h
+
+
 def product_kernel_weights(X: np.ndarray, x: np.ndarray,
                            bandwidth: float) -> np.ndarray:
     """Normalized Epanechnikov product-kernel weights K_h(X_i - x)."""
+    _check_bandwidth(bandwidth)
     u = (np.asarray(X, dtype=float) - np.asarray(x, dtype=float)) / bandwidth
     w = np.prod(np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0), axis=1)
     total = w.sum()
@@ -331,7 +340,8 @@ def forest_grid(n: int, p: int, depths=None, mtrys=None) -> list:
 
 def kernel_grid(bandwidths=None) -> list:
     """Kernel tuning cells; the bandwidths default to ``BANDWIDTH_GRID``."""
-    return [{"bandwidth": float(h)} for h in bandwidths or BANDWIDTH_GRID]
+    return [{"bandwidth": _check_bandwidth(h)}
+            for h in bandwidths or BANDWIDTH_GRID]
 
 
 def best_cell(grid: list, errors: np.ndarray) -> dict:

@@ -41,7 +41,6 @@ class SimSetting:
     p: int = 2
     n: int = 100
     sigma: Optional[float] = None  # None selects the scenario default
-    grid_size: int = 21
     spd_metric: str = "logcholesky"  # II scenarios only
 
     def __post_init__(self):
@@ -63,7 +62,7 @@ class SimSetting:
 
     def space(self) -> MetricSpace:
         if self.scenario.startswith("I-"):
-            return wasserstein_space(self.grid_size)
+            return wasserstein_space()
         if self.scenario.startswith("II-"):
             order = 2 if self.scenario == "II-1" else 3
             return spd_space(order, self.spd_metric)
@@ -134,7 +133,7 @@ def normal_quantile_grid(mu, sigma, m: int) -> np.ndarray:
 
 def gen_distribution(setting: SimSetting, rng: np.random.Generator) -> Dataset:
     """Scenarios I-1 / I-2 / I-3 with quantile-grid responses."""
-    p, n, m = setting.p, setting.n, setting.grid_size
+    p, n, m = setting.p, setting.n, setting.space().dim
     sc = setting.scenario
     if sc == "I-3":
         idx = np.arange(p)
@@ -372,6 +371,8 @@ def monte_carlo(setting: SimSetting, estimators, cfg: MonteCarloConfig,
     depend on ``n_jobs``.  A failing run is recorded and excluded; the CV
     folds that scored infinity are listed in run order.
     """
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     estimators = list(estimators)
     tasks = [(setting, estimators, cfg, seed, r) for r in range(cfg.runs)]
     if n_jobs > 1 and cfg.runs > 1:

@@ -48,23 +48,19 @@ class MetricSpace:
     """Descriptor of a response metric space.
 
     ``dim`` is the quantile-grid size, the matrix order, or the ambient
-    dimension of the sphere.  ``normalization`` selects the quadrature weight
-    of the Wasserstein distance: ``"riemann"`` divides the squared grid
-    differences by ``dim`` (a Riemann sum over [0, 1]), ``"euclidean"`` uses
-    the raw Euclidean distance between quantile vectors.
+    dimension of the sphere.  The squared Wasserstein distance is a Riemann
+    sum: the squared quantile differences summed and divided by ``dim``.
     """
 
     kind: str
     dim: int
-    normalization: str = "riemann"
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown metric space kind {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("space dimension must be >= 1")
-        if self.normalization not in ("riemann", "euclidean"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
+        if type(self.dim) is not int or self.dim < 1:  # a bool is no dim
+            raise ValueError(f"space dimension must be an integer >= 1, "
+                             f"got {self.dim!r}")
 
     @property
     def shape(self) -> tuple:
@@ -74,18 +70,15 @@ class MetricSpace:
         return (self.dim,)
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "dim": self.dim,
-                "normalization": self.normalization}
+        return {"kind": self.kind, "dim": self.dim}
 
     @staticmethod
     def from_dict(d: dict) -> "MetricSpace":
-        return MetricSpace(d["kind"], int(d["dim"]),
-                           d.get("normalization", "riemann"))
+        return MetricSpace(d["kind"], d["dim"])
 
 
-def wasserstein_space(grid_size: int = 21,
-                      normalization: str = "riemann") -> MetricSpace:
-    return MetricSpace(WASSERSTEIN, grid_size, normalization)
+def wasserstein_space(grid_size: int = 21) -> MetricSpace:
+    return MetricSpace(WASSERSTEIN, grid_size)
 
 
 def spd_space(order: int, metric: str = "logcholesky") -> MetricSpace:
@@ -262,10 +255,6 @@ def isotonic_project(values: np.ndarray) -> np.ndarray:
 # distances
 
 
-def _wasserstein_scale(space: MetricSpace) -> float:
-    return 1.0 / space.dim if space.normalization == "riemann" else 1.0
-
-
 def distance(space: MetricSpace, a: np.ndarray, b: np.ndarray) -> float:
     """Distance between two objects of the space."""
     a = np.asarray(a, dtype=float)
@@ -273,7 +262,7 @@ def distance(space: MetricSpace, a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if space.kind == WASSERSTEIN:
-        return float(np.sqrt(_wasserstein_scale(space) * np.sum((a - b) ** 2)))
+        return float(np.sqrt(1.0 / space.dim * np.sum((a - b) ** 2)))
     if space.kind == SPHERE:
         # half-angle form: exact for nearby points, where arccos of the dot
         # product cannot resolve angles below about 1.5e-8
@@ -296,7 +285,7 @@ def dist2_to_point(space: MetricSpace, ystack: np.ndarray,
     """Squared distances from every stacked object to ``y``."""
     y = np.asarray(y, dtype=float)
     if space.kind == WASSERSTEIN:
-        return _wasserstein_scale(space) * np.sum((ystack - y) ** 2, axis=1)
+        return 1.0 / space.dim * np.sum((ystack - y) ** 2, axis=1)
     if space.kind == SPHERE:
         # not the arctan2 form: last bits of split sums decide mirrored ties
         return np.arccos(np.minimum(np.maximum(ystack @ y, -1.0), 1.0)) ** 2
@@ -328,7 +317,7 @@ def _tril(m: int):
 def embed(space: MetricSpace, ystack: np.ndarray) -> np.ndarray:
     """Isometric Euclidean embedding of a stack of objects."""
     if space.kind == WASSERSTEIN:
-        return (np.sqrt(_wasserstein_scale(space))
+        return (np.sqrt(1.0 / space.dim)
                 * np.asarray(ystack, dtype=float))
     if space.kind == SPD_LOGCHOLESKY:
         L = cholesky_factor(ystack)
@@ -344,7 +333,7 @@ def unembed(space: MetricSpace, e: np.ndarray) -> np.ndarray:
     """Inverse of :func:`embed`; accepts a single vector or a stack."""
     e = np.asarray(e, dtype=float)
     if space.kind == WASSERSTEIN:
-        return e / np.sqrt(_wasserstein_scale(space))
+        return e / np.sqrt(1.0 / space.dim)
     if space.kind == SPD_LOGCHOLESKY:
         if e.ndim == 2:
             return np.stack([unembed(space, row) for row in e])

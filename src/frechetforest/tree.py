@@ -62,7 +62,6 @@ class TreeConfig:
     mtry: Optional[int] = None  # None means all features
     split_method: str = "two_means"
     honest: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_depth < 1:
@@ -98,32 +97,22 @@ class FrechetTree:
     ``intp`` array, repeated under bootstrap) that share the leaf's kernel
     weight, or a split ``{"rule": rule, "left": node, "right": node}``.
     A rule ``{"feature": j, "threshold": c}`` sends ``x[j] < c`` left.
-    ``to_dict`` writes the same nodes with the indices as lists.
+    ``to_dict`` writes only ``{"root": nodes}``, the indices as lists.
     """
 
     root: dict
-    subsample_indices: np.ndarray
+    subsample_indices: Optional[np.ndarray] = None
     structure_indices: Optional[np.ndarray] = None
     prediction_half: Optional[np.ndarray] = None
     # leaf means by index bytes, from growth or tree_predict; not serialised
     leaf_means: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        d = {"root": _nodes(self.root, np.ndarray.tolist),
-             "subsample": self.subsample_indices.tolist()}
-        if self.structure_indices is not None:
-            d["structure"] = self.structure_indices.tolist()
-            d["prediction_half"] = self.prediction_half.tolist()
-        return d
+        return {"root": _nodes(self.root, np.ndarray.tolist)}
 
     @staticmethod
     def from_dict(d: dict) -> "FrechetTree":
-        tree = FrechetTree(_nodes(d["root"], _indices),
-                           _indices(d["subsample"]))
-        if "structure" in d:
-            tree.structure_indices = _indices(d["structure"])
-            tree.prediction_half = _indices(d["prediction_half"])
-        return tree
+        return FrechetTree(_nodes(d["root"], _indices))
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +123,11 @@ def _valid_thresholds(sorted_values: np.ndarray, min_leaf: int):
     """Midpoint thresholds that leave ``min_leaf`` samples on each side.
 
     Returns the midpoints between consecutive unique values, in increasing
-    order, with the left-child size of each.
+    order, with the left-child size of each.  The values, a node's, are
+    never empty; ``np.unique`` would load ``numpy.ma``.
     """
-    uniq = np.unique(sorted_values)
+    v = sorted_values
+    uniq = v[np.concatenate(([True], v[1:] != v[:-1]))]
     mids = (uniq[:-1] + uniq[1:]) / 2.0
     n_left = np.searchsorted(sorted_values, mids, side="left")
     n = len(sorted_values)
@@ -457,13 +448,12 @@ def best_split(samples: np.ndarray, candidate_features, X: np.ndarray,
 
 def grow_tree(X: np.ndarray, ystack: np.ndarray, space: MetricSpace,
               subsample_indices: np.ndarray, config: TreeConfig,
-              rng: Optional[np.random.Generator] = None) -> FrechetTree:
-    """Grow a Frechet tree on a subsample (a multiset of training indices)."""
+              rng: np.random.Generator) -> FrechetTree:
+    """Grow a Frechet tree on a subsample (a multiset of training indices);
+    ``rng`` draws the honest halves and the candidate features."""
     subsample = np.asarray(subsample_indices, dtype=np.intp)
     if len(subsample) == 0:
         raise ValueError("subsample is empty")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     p = X.shape[1]
     mtry = config.mtry if config.mtry is not None else p
     if not 1 <= mtry <= p:

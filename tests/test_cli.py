@@ -10,11 +10,12 @@ import sys
 import numpy as np
 import pytest
 
-from frechetforest import cli, forest, regressors, simulate
+from frechetforest import cli, forest, regressors, simulate, spaces
 from frechetforest.cli import (CliError, atomic_write, load_dataset,
                                rows_to_objects, save_dataset)
 from frechetforest.spaces import (spd_space, sphere_space,
                                   wasserstein_space)
+from frechetforest.tree import iter_nodes
 
 
 def _write_csv(path, rows):
@@ -174,6 +175,20 @@ def test_tune_writes_a_table_its_own_parser_reads(tmp_path, capsys):
         {"bandwidth": 0.4}
 
 
+@pytest.mark.parametrize("bandwidths", [[-0.2, -0.4], [0.4, 0], ["inf"]],
+                         ids=["negative", "zero", "inf"])
+def test_tune_rejects_a_bad_bandwidth(tmp_path, capsys, monkeypatch,
+                                      bandwidths):
+    # a negative bandwidth scored as its absolute value and could be best
+    monkeypatch.setattr(regressors, "tune_cv", None)  # no fit may start
+    assert _tune_sphere_nw(tmp_path, bandwidths) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["command"] == "tune"
+    assert "bandwidth must be finite and > 0" in json.loads(err[0])["error"]
+    assert sorted(os.listdir(tmp_path)) == ["data"]
+
+
 def test_tune_exits_1_when_no_cell_scores(tmp_path, capsys):
     assert _tune_sphere_nw(tmp_path, [0.01, 0.02]) == 1
     err = capsys.readouterr().err.splitlines()
@@ -259,9 +274,10 @@ def test_bench_table_rejects_a_repeated_estimator(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("flag", ["--runs", "--num-trees"])
+@pytest.mark.parametrize("flag", ["--runs", "--num-trees", "--jobs"])
 def test_bench_table_rejects_a_zero_count(tmp_path, capsys, flag):
-    # no run, or forests of no trees, would write NaN summaries
+    # no run, or forests of no trees, would write NaN summaries; no jobs
+    # ran serially, as if one job were asked for
     rc = cli.main(["bench-table", "--scenario", "I-1", "--p", "2", "--n",
                    "30", "--runs", "1", "--estimators", "gfr",
                    "--seed", "8", "--folds", "2", flag, "0",
@@ -359,7 +375,13 @@ def test_config_switch_takes_json_booleans(tmp_path, honest):
     assert _fit_with_config(tmp_path, {"num_trees": 2, "honest": honest}) == 0
     model = json.loads((tmp_path / "m.json").read_text())["model"]
     assert model["config"]["tree"]["honest"] is honest
-    assert all(("structure" in t) is honest for t in model["trees"])
+    # a bootstrap subsample has n indices; an honest tree's leaves hold
+    # its prediction half, n // 2 of them, and any other tree's all n
+    n = len(model["X"])
+    for t in model["trees"]:
+        held = sum(len(v["leaf"]) for v in iter_nodes(t["root"])
+                   if "leaf" in v)
+        assert held == (n // 2 if honest else n)
 
 
 def test_config_supplies_required_options(tmp_path):
@@ -486,6 +508,16 @@ def _one_split_model(rule, leaves=([0], [1])):
         "X": [[0.1, 0.2], [0.3, 0.4]], "Y": [[0.0], [1.0]]}})
 
 
+def _dim_model(dim):
+    """A one-split forest document whose space ``dim`` is ``dim``, with
+    ``Y`` rows of the width ``int(dim)``, so only the type of ``dim`` is
+    wrong."""
+    doc = json.loads(_one_split_model({"feature": 0, "threshold": 0.25}))
+    doc["model"]["space"]["dim"] = dim
+    doc["model"]["Y"] = [[v] * int(dim) for v in (0.0, 1.0)]
+    return json.dumps(doc)
+
+
 # a split rule that lacks its threshold
 _NO_THRESHOLD = _one_split_model({"feature": 0, "kind": "threshold"})
 
@@ -541,6 +573,8 @@ def _sphere_model(estimator, edit):
                          ("fourth-coordinate",
                           lambda Y: [y + [0.0] for y in Y]),
                          ("missing-row", lambda Y: Y[:1])]),
+    *(pytest.param(_dim_model(dim), None, id=f"dim-{name}")
+      for name, dim in [("float", 2.5), ("text", "2"), ("bool", True)]),
     pytest.param(_one_split_model({"feature": 7, "threshold": 0.5}),
                  "feature", id="feature-7-of-2"),
     pytest.param(_one_split_model({"feature": -1, "threshold": 0.5}),
@@ -630,6 +664,50 @@ def test_model_document_data_keys(tmp_path, capsys):
     assert cli.main(argv) == 1
     err = json.loads(capsys.readouterr().err)
     assert (err["field"], err["path"]) == ("X", str(path))
+
+
+_DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+@pytest.mark.parametrize("name", ["old_forest_rfwllfr",
+                                  "old_forest_frf_honest", "old_gfr"])
+def test_older_model_file_predicts_as_a_new_one(tmp_path, name):
+    # files written before model documents held only what predict reads:
+    # a space "normalization", a tree-config "seed" and each tree's
+    # "subsample" (and honest "structure" and "prediction_half") lists
+    old_path = os.path.join(_DATA, f"{name}.json")
+    with open(old_path) as handle:
+        old = json.load(handle)
+    data = old if old["estimator"] == "gfr" else old["model"]
+    assert data["space"].pop("normalization") == "riemann"
+    X, Y = np.asarray(data["X"]), np.asarray(data["Y"])
+    space = spaces.MetricSpace.from_dict(data["space"])
+    if old["estimator"] == "gfr":
+        new = {"estimator": "gfr", "X": X.tolist(), "Y": Y.tolist(),
+               "space": space.to_dict()}
+    else:
+        assert data["config"]["tree"].pop("seed") == 0
+        honest = data["config"]["tree"]["honest"]
+        for t in data["trees"]:
+            keys = ["subsample"] + ["structure", "prediction_half"] * honest
+            for key in keys:
+                assert t.pop(key)
+        cfg = forest.ForestConfig.from_dict(data["config"])
+        new = {"estimator": old["estimator"], "model": forest.model_to_dict(
+            forest.fit_forest(X, Y, space, cfg))}
+    # the new code writes the older document without those keys
+    assert json.dumps(new) == json.dumps(old)
+    new_path = tmp_path / "new.json"
+    new_path.write_text(json.dumps(new) + "\n")
+    _write_csv(tmp_path / "q.csv",
+               np.random.default_rng(0).uniform(size=(6, 2)))
+    out = {}
+    for label, path in (("old", old_path), ("new", new_path)):
+        out[label] = tmp_path / f"{label}.csv"
+        assert cli.main(["predict", "--model", str(path),
+                         "--x", str(tmp_path / "q.csv"),
+                         "--out", str(out[label])]) == 0
+    assert out["old"].read_bytes() == out["new"].read_bytes()
 
 
 @pytest.mark.parametrize("estimator,loader",

@@ -28,7 +28,6 @@ reference, which the signed solves must match within 1e-5.
 import contextlib
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -398,15 +397,16 @@ def test_memoised_node_ss_grows_identical_trees(monkeypatch, space,
     solves = _counting_sum_sq(monkeypatch)
     for seed in range(3):
         sub = np.sort(np.random.default_rng(seed).integers(0, n, size=n))
-        cfg_s = replace(cfg, seed=seed)
         solves.clear()
-        memo = grow_tree(X, Y, space, sub, cfg_s).to_dict()
+        memo = grow_tree(X, Y, space, sub, cfg,
+                         np.random.default_rng(seed)).to_dict()
         memo_solves = len(solves)
         with monkeypatch.context() as m:
             m.setattr(tree, "_responses_for",
                       lambda sp, ys: _FreshResponses(sp, ys))
             solves.clear()
-            fresh = grow_tree(X, Y, space, sub, cfg_s).to_dict()
+            fresh = grow_tree(X, Y, space, sub, cfg,
+                              np.random.default_rng(seed)).to_dict()
         assert json.dumps(memo) == json.dumps(fresh)
         assert memo_solves < len(solves)
 
@@ -416,11 +416,8 @@ def test_memoised_node_ss_grows_identical_trees(monkeypatch, space,
 # for one node at a time, so each of its misses solves one index set.
 
 
-def _recursive_grow_tree(X, ystack, space, subsample_indices, config,
-                         rng=None):
+def _recursive_grow_tree(X, ystack, space, subsample_indices, config, rng):
     subsample = np.asarray(subsample_indices, dtype=np.intp)
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     p = X.shape[1]
     mtry = config.mtry if config.mtry is not None else p
     resp = tree._responses_for(space, ystack)
@@ -618,13 +615,16 @@ def test_frf_reads_leaf_means_from_growth(monkeypatch, space, honest):
                          [(sphere_space(3), False),
                           (spd_space(2, "affine"), False),
                           (spd_space(3, "affine"), False),
-                          (spd_space(2, "affine"), True)],
+                          (spd_space(2, "affine"), True),
+                          (wasserstein_space(5), True),
+                          (spd_space(2), False)],
                          ids=["sphere", "affine2", "affine3",
-                              "affine2-honest"])
+                              "affine2-honest", "wasserstein-honest",
+                              "logcholesky"])
 def test_loaded_model_predicts_as_the_grown_one(space, honest):
     # a loaded tree has no kept means and solves its leaves again, the
-    # way growth solved them, so frf and tree_predict do not depend on
-    # whether the model was grown in this process
+    # way growth solved them, so the forest predictors and tree_predict
+    # do not depend on whether the model was grown in this process
     rng = np.random.default_rng(61)
     n = 80
     X = rng.uniform(size=(n, 2))
@@ -636,8 +636,9 @@ def test_loaded_model_predicts_as_the_grown_one(space, honest):
     loaded = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
     assert all(not t.leaf_means for t in loaded.trees)
     for x in rng.uniform(size=(40, 2)):
-        assert np.array_equal(regressors.predict_frf(loaded, x),
-                              regressors.predict_frf(model, x))
+        for kind in ("frf", "rfwlcfr", "rfwllfr"):
+            predict = getattr(regressors, f"predict_{kind}")
+            assert np.array_equal(predict(loaded, x), predict(model, x))
         for t, t_loaded in zip(model.trees, loaded.trees):
             assert np.array_equal(tree_predict(t_loaded, x, loaded.Y, space),
                                   tree_predict(t, x, Y, space))
@@ -653,7 +654,8 @@ def test_loaded_tree_solves_each_leaf_once(monkeypatch, space):
     X = rng.uniform(size=(n, 2))
     Y = _objects(space, n, rng)
     grown = grow_tree(X, Y, space, np.arange(n),
-                      TreeConfig(max_depth=4, min_leaf=3))
+                      TreeConfig(max_depth=4, min_leaf=3),
+                      np.random.default_rng(0))
     loaded = tree.FrechetTree.from_dict(json.loads(json.dumps(
         grown.to_dict())))
     queries = rng.uniform(size=(30, 2))

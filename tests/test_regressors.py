@@ -291,6 +291,16 @@ def test_best_cell_never_prefers_a_row_holding_inf():
     assert regressors.best_cell(grid, np.full((2, 3), np.inf)) is grid[0]
 
 
+@pytest.mark.parametrize("h", [-0.2, 0.0, float("nan"), float("inf")])
+def test_a_bandwidth_must_be_finite_and_positive(h):
+    # the kernel tests |u| <= 1, so a negative bandwidth acted as |h|
+    with pytest.raises(ValueError, match="bandwidth must be finite and > 0"):
+        regressors.kernel_grid([0.4, h])
+    with pytest.raises(ValueError, match="bandwidth must be finite and > 0"):
+        regressors.product_kernel_weights(np.array([[0.0], [0.1]]),
+                                          np.array([0.05]), h)
+
+
 def test_kernel_grid_defaults_to_the_bandwidth_grid():
     assert regressors.kernel_grid() == [
         {"bandwidth": h} for h in regressors.BANDWIDTH_GRID]

@@ -172,6 +172,14 @@ def test_sim_setting_rejects_a_bad_sigma(sigma):
         SimSetting("I-1", p=2, n=10, sigma=sigma)
 
 
+@pytest.mark.parametrize("n_jobs", [0, -3])
+def test_monte_carlo_rejects_fewer_than_one_job(n_jobs):
+    # such counts ran serially, as if n_jobs were 1
+    with pytest.raises(ValueError, match="n_jobs must be >= 1"):
+        monte_carlo(SimSetting("I-1", p=2, n=20), ["gfr"],
+                    MonteCarloConfig(runs=2), n_jobs=n_jobs)
+
+
 def test_sim_setting_takes_a_zero_sigma():
     data = generate(SimSetting("I-1", p=2, n=10, sigma=0.0),
                     np.random.default_rng(1))

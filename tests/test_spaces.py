@@ -61,14 +61,6 @@ def test_wasserstein_unit_shift():
     assert distance(space, a, a + 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_wasserstein_euclidean_mode():
-    space_r = wasserstein_space(21, "riemann")
-    space_e = wasserstein_space(21, "euclidean")
-    a, b = random_quantile(21), random_quantile(21)
-    assert distance(space_e, a, b) == pytest.approx(
-        math.sqrt(21) * distance(space_r, a, b), abs=1e-12)
-
-
 def test_sphere_orthogonal():
     space = sphere_space(3)
     d = distance(space, np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
@@ -324,3 +316,10 @@ def test_space_serialization_roundtrip():
 def test_spd_space_rejects_an_unknown_metric(metric):
     with pytest.raises(ValueError, match="unknown SPD metric"):
         spd_space(2, metric)
+
+
+@pytest.mark.parametrize("dim", [2.5, "2", True, 0])
+def test_space_dimension_must_be_a_positive_integer(dim):
+    # a bool or a float passed as the dimension and reached the model file
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        MetricSpace(spaces.SPHERE, dim)

@@ -1,5 +1,9 @@
 """Fréchet tree growth: splits, gains, honesty, routing."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -251,11 +255,46 @@ def test_curved_space_split_matches_per_threshold_reference():
         assert (rule["feature"], rule["threshold"]) == want
 
 
+def test_valid_thresholds_match_the_np_unique_form():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        # few distinct values, so most arrays hold ties
+        v = np.sort(rng.choice(rng.normal(size=int(rng.integers(1, 9))),
+                               size=n))
+        min_leaf = int(rng.integers(1, 5))
+        uniq = np.unique(v)
+        want = (uniq[:-1] + uniq[1:]) / 2.0
+        left = np.searchsorted(v, want, side="left")
+        ok = (left >= min_leaf) & (n - left >= min_leaf)
+        mids, n_left = tree._valid_thresholds(v, min_leaf)
+        assert np.array_equal(mids, want[ok])
+        assert np.array_equal(n_left, left[ok])
+
+
+def test_exhaustive_fit_does_not_load_numpy_ma():
+    # np.unique imports numpy.ma on its first call
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tree.__file__)))
+    code = ("import sys, numpy as np\n"
+            "from frechetforest import forest, simulate\n"
+            "from frechetforest.tree import TreeConfig\n"
+            "d = simulate.generate(simulate.SimSetting('I-2', n=60),\n"
+            "                      np.random.default_rng(3))\n"
+            "forest.fit_forest(d.X, d.Y, d.space, forest.ForestConfig(\n"
+            "    num_trees=3, tree=TreeConfig(split_method='exhaustive')))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_grow_tree_depth_one_single_leaf():
     rng = np.random.default_rng(6)
     X = rng.uniform(size=(20, 2))
     Y = scalar_data(rng.normal(size=20))
-    t = grow_tree(X, Y, SCALAR, np.arange(20), TreeConfig(max_depth=1))
+    t = grow_tree(X, Y, SCALAR, np.arange(20), TreeConfig(max_depth=1),
+                  np.random.default_rng(0))
     assert list(t.root) == ["leaf"]
     assert sorted(t.root["leaf"]) == list(range(20))
 
@@ -266,7 +305,8 @@ def test_leaves_partition_subsample():
     Y = scalar_data(rng.normal(size=60))
     sub = np.sort(rng.integers(0, 60, size=60))
     t = grow_tree(X, Y, SCALAR, sub,
-                  TreeConfig(max_depth=6, min_leaf=3))
+                  TreeConfig(max_depth=6, min_leaf=3),
+                  np.random.default_rng(0))
     collected = np.concatenate(list(iter_leaves(t)))
     assert sorted(collected) == sorted(sub)
 
@@ -278,7 +318,8 @@ def test_leaf_sizes_between_k_and_2k_minus_1():
     k = 3
     t = grow_tree(X, Y, SCALAR, np.arange(80),
                   TreeConfig(max_depth=30, min_leaf=k,
-                             split_method="exhaustive"))
+                             split_method="exhaustive"),
+                  np.random.default_rng(0))
     for leaf in iter_leaves(t):
         assert k <= len(leaf) <= 2 * k - 1
 
@@ -307,7 +348,8 @@ def test_leaf_for_routing():
     X = rng.uniform(size=(50, 2))
     Y = scalar_data(rng.normal(size=50))
     t = grow_tree(X, Y, SCALAR, np.arange(50),
-                  TreeConfig(max_depth=5, min_leaf=3))
+                  TreeConfig(max_depth=5, min_leaf=3),
+                  np.random.default_rng(0))
     for x in rng.uniform(size=(1000, 2)):
         node = t.root
         while "leaf" not in node:
@@ -321,7 +363,8 @@ def test_training_point_lands_in_own_leaf():
     X = rng.uniform(size=(40, 2))
     Y = scalar_data(rng.normal(size=40))
     t = grow_tree(X, Y, SCALAR, np.arange(40),
-                  TreeConfig(max_depth=5, min_leaf=3))
+                  TreeConfig(max_depth=5, min_leaf=3),
+                  np.random.default_rng(0))
     for i in range(40):
         assert i in leaf_for(t, X[i])
 
@@ -332,7 +375,8 @@ def test_tree_predict_scalar_mean():
     y = rng.normal(size=30)
     Y = scalar_data(y)
     t = grow_tree(X, Y, SCALAR, np.arange(30),
-                  TreeConfig(max_depth=4, min_leaf=3))
+                  TreeConfig(max_depth=4, min_leaf=3),
+                  np.random.default_rng(0))
     x = np.array([0.3, 0.7])
     leaf = leaf_for(t, x)
     assert tree_predict(t, x, Y, SCALAR)[0] == pytest.approx(
@@ -344,7 +388,8 @@ def test_tree_predict_singleton_leaf():
     Y = scalar_data([3.0, 8.0])
     t = grow_tree(X, Y, SCALAR, np.arange(2),
                   TreeConfig(max_depth=5, min_leaf=1,
-                             split_method="exhaustive"))
+                             split_method="exhaustive"),
+                  np.random.default_rng(0))
     assert tree_predict(t, np.array([0.0]), Y, SCALAR)[0] == 3.0
     assert tree_predict(t, np.array([1.0]), Y, SCALAR)[0] == 8.0
 
@@ -368,9 +413,11 @@ def test_permutation_symmetry():
     X = rng.uniform(size=(n, 2))
     Y = scalar_data(rng.normal(size=n))
     cfg = TreeConfig(max_depth=5, min_leaf=3)
-    t1 = grow_tree(X, Y, SCALAR, np.arange(n), cfg)
+    t1 = grow_tree(X, Y, SCALAR, np.arange(n), cfg,
+                   np.random.default_rng(0))
     perm = rng.permutation(n)
-    t2 = grow_tree(X[perm], Y[perm], SCALAR, np.arange(n), cfg)
+    t2 = grow_tree(X[perm], Y[perm], SCALAR, np.arange(n), cfg,
+                   np.random.default_rng(0))
     inv = np.argsort(perm)
     leaves1 = sorted(tuple(sorted(l)) for l in iter_leaves(t1))
     leaves2 = sorted(tuple(sorted(perm[i] for i in l))
@@ -383,7 +430,8 @@ def test_tree_serialization_roundtrip():
     X = rng.uniform(size=(30, 2))
     Y = scalar_data(rng.normal(size=30))
     cfg = TreeConfig(max_depth=4, min_leaf=3)
-    t = grow_tree(X, Y, SCALAR, np.arange(30), cfg)
+    t = grow_tree(X, Y, SCALAR, np.arange(30), cfg,
+                  np.random.default_rng(0))
     back = FrechetTree.from_dict(t.to_dict())
     for x in rng.uniform(size=(20, 2)):
         assert np.array_equal(leaf_for(t, x), leaf_for(back, x))
