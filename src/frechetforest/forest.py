@@ -78,17 +78,20 @@ def fit_forest(X: np.ndarray, Y: np.ndarray, space: MetricSpace,
         raise ValueError("X and Y must be finite")
     if n < 2 * config.tree.min_leaf:
         raise ValueError("need at least 2*min_leaf training samples")
+    s = n if config.subsample_size is None else config.subsample_size
     if config.subsample_mode == WITHOUT_REPLACEMENT:
-        s = config.subsample_size if config.subsample_size is not None else n
         if s > n:
             raise ValueError("subsample_size exceeds the training size")
+        if (s == n and config.num_trees > 1 and not config.tree.honest
+                and config.tree.mtry in (None, X.shape[1])):
+            raise ValueError("without-replacement subsamples of size n grow "
+                             "identical trees unless honest or mtry < p")
     trees = []
     for b in range(config.num_trees):
         rng = _tree_rng(config.master_seed, b)
         if config.subsample_mode == BOOTSTRAP:
             sub = rng.integers(0, n, size=n)
         else:
-            s = n if config.subsample_size is None else config.subsample_size
             sub = rng.choice(n, size=s, replace=False)
         trees.append(grow_tree(X, Y, space, np.sort(sub), config.tree, rng))
     return ForestModel(trees, X, Y, space, config)

@@ -16,9 +16,9 @@ genuinely curved and use an iterative Riemannian descent solver.
 ``weighted_frechet_means`` solves many weight rows over one stack; on the
 sphere it runs one vectorised descent, which agrees with the single-problem
 ``weighted_frechet_mean`` within 1e-6.
-``sum_sq_to_means`` gives the split sums of many index sets; in the affine
-space one square-root descent solves them as rows, each bit for bit its
-own single solve.
+``sum_sq_to_means`` gives the split sums of many index sets, and alone
+decides how: in the affine space one square-root descent solves them as
+rows, each bit for bit its own single solve; elsewhere set by set.
 
 Objects are plain numpy arrays: a length-``m`` nondecreasing vector, an
 ``m x m`` SPD matrix, or a unit vector.  Collections of objects are stacked
@@ -111,8 +111,7 @@ def validate_object(space: MetricSpace, y: np.ndarray) -> np.ndarray:
         if np.any(np.diff(y) < -1e-9):
             raise ValueError("quantile vector is not nondecreasing")
     elif space.kind in (SPD_LOGCHOLESKY, SPD_AFFINE):
-        if np.max(np.abs(y - y.T)) > max(_SYM_TOL, _SYM_TOL * np.abs(y).max()):
-            raise ValueError("matrix is not symmetric")
+        _check_symmetric(y)
         # positive definiteness checked by the Cholesky factorization
         cholesky_factor(y)
     elif space.kind == SPHERE:
@@ -125,6 +124,13 @@ def validate_object(space: MetricSpace, y: np.ndarray) -> np.ndarray:
 # SPD primitives
 
 
+def _check_symmetric(y: np.ndarray) -> np.ndarray:
+    """``y``, or ``ValueError`` if it is not symmetric to ``_SYM_TOL``."""
+    if np.max(np.abs(y - y.T)) > max(_SYM_TOL, _SYM_TOL * np.abs(y).max()):
+        raise ValueError("matrix is not symmetric")
+    return y
+
+
 def cholesky_factor(y: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor with positive diagonal."""
     try:
@@ -135,9 +141,7 @@ def cholesky_factor(y: np.ndarray) -> np.ndarray:
 
 def matrix_log(y: np.ndarray) -> np.ndarray:
     """Logarithm of an SPD matrix via symmetric eigendecomposition."""
-    y = np.asarray(y, dtype=float)
-    if np.max(np.abs(y - y.T)) > max(_SYM_TOL, _SYM_TOL * np.abs(y).max()):
-        raise ValueError("matrix is not symmetric")
+    y = _check_symmetric(np.asarray(y, dtype=float))
     vals, vecs = np.linalg.eigh(y)
     if vals[0] <= 0:
         raise ValueError("matrix is not positive definite")
@@ -146,9 +150,7 @@ def matrix_log(y: np.ndarray) -> np.ndarray:
 
 def matrix_exp(a: np.ndarray) -> np.ndarray:
     """Exponential of a symmetric matrix; the result is SPD."""
-    a = np.asarray(a, dtype=float)
-    if np.max(np.abs(a - a.T)) > max(_SYM_TOL, _SYM_TOL * np.abs(a).max()):
-        raise ValueError("matrix is not symmetric")
+    a = _check_symmetric(np.asarray(a, dtype=float))
     vals, vecs = np.linalg.eigh(a)
     return (vecs * np.exp(vals)) @ vecs.T
 
@@ -405,27 +407,20 @@ def weighted_frechet_mean(space: MetricSpace, ystack: np.ndarray,
     return out
 
 
-def sum_sq_to_mean(space: MetricSpace, ystack: np.ndarray):
-    """``(sum, mean)``: the sum of squared distances from the objects to
-    their Frechet mean, and that mean.
-
-    This is the node impurity of tree growth.  A partition and its mirror
-    image on another feature score gains that tie up to rounding, and the
-    last bit of these sums decides between them, so the affine space keeps
-    the square-root form of the descent here: fitted trees stay identical
-    to those of earlier versions.  ``weighted_frechet_mean`` uses the
-    faster moving-frame form, which agrees to rounding.
-
-    The mean is ``weighted_frechet_mean``'s under equal weights, bit for
-    bit, or in the affine space the square-root descent's final iterate.
-    """
-    return sum_sq_to_means(space, ystack, [np.arange(len(ystack))])[0]
-
-
 def sum_sq_to_means(space: MetricSpace, ystack: np.ndarray, sets) -> list:
-    """:func:`sum_sq_to_mean` of ``ystack[idx]`` for each index array in
-    the list ``sets``.  In the affine space one square-root descent solves
-    each block of about ``_BLOCK_ENTRIES`` objects, a set per row."""
+    """``(sum, mean)`` of ``ystack[idx]`` under equal weights, for each
+    index array in the list ``sets``: the sum of squared distances to the
+    Frechet mean, the node impurity of tree growth, and that mean.
+
+    Only here is it decided how the list is solved.  Mirrored partitions
+    on two features tie up to rounding, and the last bit of these sums
+    decides between them, so the affine space keeps the square-root form
+    of the descent (``weighted_frechet_mean`` uses the faster moving-frame
+    form, which agrees to rounding): one descent solves each block of
+    about ``_BLOCK_ENTRIES`` objects, a set per row, and a mean is its
+    final iterate.  Elsewhere each set is solved alone, and its mean is
+    ``weighted_frechet_mean``'s, bit for bit.
+    """
     ystack = np.asarray(ystack, dtype=float)
     out = []
     if space.kind != SPD_AFFINE:

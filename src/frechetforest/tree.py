@@ -19,10 +19,11 @@ thus the only ones that can carry kernel weight).
 
 A tree grows in rounds.  With ``mtry == p`` growth draws no features, so a
 round is a whole level of open nodes; otherwise it is the depth-first head
-alone, and the feature draws keep their order.  On the affine SPD space the
+alone, and the feature draws keep their order.  On a curved space the
 engine queues every index set a round's split searches will solve, and its
-first miss solves them all in one batched square-root descent.  Trees are
-those of a node-by-node recursion, bit for bit.
+first miss hands them all to one ``spaces.sum_sq_to_means`` call, which
+decides how the queue is solved.  Trees are those of a node-by-node
+recursion, bit for bit.
 
 A split engine keeps one record per distinct index set: its sum of
 squares, each feature's best split, and on curved spaces the Frechet mean
@@ -148,47 +149,16 @@ class _Node:
 
 
 class _Responses:
-    """One record per distinct index set.  Holding every ``X`` scored
-    against keeps its ``id`` from being reused while the engine lives, so a
-    split score keyed by that ``id`` is never stale."""
+    """Sum-of-squares engine, one record per distinct index set.
 
-    def __init__(self, space: MetricSpace, ystack: np.ndarray):
-        self.space = space
-        self.ystack = ystack
-        self._ss = {}  # index bytes -> _Node
-        self._xs = {}
-        self._pending = {}  # index bytes -> index set, solved at a miss
-        self.parts = {}  # (index bytes, split key) -> partitions of expect
-
-    def node(self, idx: np.ndarray) -> _Node:
-        """The set's record; a miss solves it with every queued set."""
-        key = idx.tobytes()
-        if key not in self._ss:
-            self._pending[key] = idx
-            self._ss.update(self._solve(self._pending))
-            self._pending = {}
-        return self._ss[key]
-
-    def expect(self, nodes, X: np.ndarray, config: TreeConfig) -> None:
-        """Queue nothing: this engine solves one set at a time."""
-
-    def split_key(self, X: np.ndarray, config: TreeConfig, j: int) -> tuple:
-        self._xs.setdefault(id(X), X)
-        return id(X), config.split_method, config.min_leaf, j
-
-    def solved_means(self, leaves) -> dict:
-        """The means already solved for these index sets, by index bytes."""
-        keys = (idx.tobytes() for idx in leaves)
-        return {k: self._ss[k].mean for k in keys
-                if k in self._ss and self._ss[k].mean is not None}
-
-
-class _EmbeddedResponses(_Responses):
-    """Sum-of-squares engine for spaces with a Euclidean embedding.
-
-    Sums are cheap here, so only the nodes that ``best_split`` scores get
-    a record.
-    """
+    With a Euclidean embedding sums are cheap, so only the nodes that
+    ``best_split`` scores get a record.  A curved space solves each set
+    once per engine and keeps its mean, a leaf's prediction if the set
+    becomes a leaf; growth queues a round's sets with :meth:`expect`, and
+    the first miss hands them all to one ``spaces.sum_sq_to_means`` call.
+    Holding every ``X`` scored against keeps its ``id`` from being reused
+    while the engine lives, so a split score keyed by that ``id`` is never
+    stale."""
 
     # Prefix-sum gains only screen thresholds: those within
     # SCREEN_RTOL * (uncentred sum of squares) / n of the best are re-scored
@@ -196,65 +166,36 @@ class _EmbeddedResponses(_Responses):
     SCREEN_RTOL = 1e-9
 
     def __init__(self, space: MetricSpace, ystack: np.ndarray):
-        super().__init__(space, ystack)
-        self.emb = spaces.embed(space, ystack)
+        self.space = space
+        self.ystack = ystack
+        self.emb = (spaces.embed(space, ystack)
+                    if spaces.has_embedding(space) else None)
+        self._ss = {}  # index bytes -> _Node
+        self._xs = {}
+        self._pending = {}  # index bytes -> index set, solved at a miss
+        self.parts = {}  # (index bytes, split key) -> partitions of expect
 
-    def _solve(self, pending: dict) -> dict:
-        return {key: _Node(self.node_ss(idx)) for key, idx in pending.items()}
-
-    def node_ss(self, idx: np.ndarray) -> float:
-        e = self.emb[idx]
-        mu = e.mean(axis=0)
-        return float(np.sum(e * e) - len(e) * (mu @ mu))
-
-    def threshold_candidates(self, samples: np.ndarray, values: np.ndarray,
-                             min_leaf: int) -> np.ndarray:
-        """Thresholds whose gain may be the best, in increasing order.
-
-        Scores every valid threshold in one pass from prefix sums of the
-        node-centred embedding, then keeps those within the rounding
-        tolerance of the best so that exact re-scoring picks the same one.
-        """
-        order = np.argsort(values, kind="stable")
-        mids, n_left = _valid_thresholds(values[order], min_leaf)
-        if mids.size <= 1:
-            return mids
-        e = self.emb[samples[order]]
-        n = len(e)
-        sumsq = float(np.sum(e * e))
-        cs = np.cumsum(e - e.mean(axis=0), axis=0)
-        left = cs[n_left - 1]
-        right = cs[-1] - left
-        gain = (np.einsum("ij,ij->i", left, left) / n_left
-                + np.einsum("ij,ij->i", right, right) / (n - n_left)
-                - (cs[-1] @ cs[-1]) / n) / n
-        return mids[gain >= gain.max() - self.SCREEN_RTOL * sumsq / n]
-
-
-class _MetricResponses(_Responses):
-    """Sum-of-squares engine via explicit Frechet-mean solves.
-
-    Each index set is solved once per engine: a winning split's children
-    come back as the next nodes' totals, and different features often
-    induce the same partition.  A record keeps the solved mean, which is a
-    leaf's prediction when the set becomes a leaf.  On the affine space
-    growth queues a round's sets with :meth:`expect`, and the first miss
-    solves them all in one ``sum_sq_to_means`` call.
-    """
-
-    def _solve(self, pending: dict) -> dict:
-        sums = spaces.sum_sq_to_means(self.space, self.ystack,
-                                      list(pending.values()))
-        return {key: _Node(*s) for key, s in zip(pending, sums)}
+    def node(self, idx: np.ndarray) -> _Node:
+        """The set's record; a curved miss solves every queued set too."""
+        key = idx.tobytes()
+        if key not in self._ss and self.emb is not None:
+            self._ss[key] = _Node(self.node_ss(idx))
+        elif key not in self._ss:
+            self._pending[key] = idx
+            sums = spaces.sum_sq_to_means(self.space, self.ystack,
+                                          list(self._pending.values()))
+            self._ss.update(zip(self._pending, (_Node(*s) for s in sums)))
+            self._pending = {}
+        return self._ss[key]
 
     def expect(self, nodes, X: np.ndarray, config: TreeConfig) -> None:
         """Queue the sets ``best_split`` will solve at these ``(samples,
         features)`` nodes: each node, and both sides of each candidate
         split of every feature it has no score for.  The partitions are
         kept in ``parts`` for ``best_split``, so a feature's candidates are
-        still found once per node.  Only the affine space solves a queue
-        faster than set by set, so elsewhere nothing is queued."""
-        if self.space.kind != spaces.SPD_AFFINE:
+        still found once per node.  Embedded sums need no solve, so then
+        nothing is queued."""
+        if self.emb is not None:
             return
         for samples, feats in nodes:
             key, sets = samples.tobytes(), [samples]
@@ -269,13 +210,46 @@ class _MetricResponses(_Responses):
                 if idx.tobytes() not in self._ss:
                     self._pending[idx.tobytes()] = idx
 
+    def split_key(self, X: np.ndarray, config: TreeConfig, j: int) -> tuple:
+        self._xs.setdefault(id(X), X)
+        return id(X), config.split_method, config.min_leaf, j
+
+    def solved_means(self, leaves) -> dict:
+        """The means already solved for these index sets, by index bytes."""
+        keys = (idx.tobytes() for idx in leaves)
+        return {k: self._ss[k].mean for k in keys
+                if k in self._ss and self._ss[k].mean is not None}
+
     def node_ss(self, idx: np.ndarray) -> float:
-        return self.node(idx).ss
+        if self.emb is None:
+            return self.node(idx).ss
+        e = self.emb[idx]
+        mu = e.mean(axis=0)
+        return float(np.sum(e * e) - len(e) * (mu @ mu))
 
     def threshold_candidates(self, samples: np.ndarray, values: np.ndarray,
                              min_leaf: int) -> np.ndarray:
-        """Every valid threshold: curved spaces have no prefix-sum shortcut."""
-        return _valid_thresholds(np.sort(values), min_leaf)[0]
+        """Thresholds whose gain may be the best, in increasing order: on a
+        curved space every valid one.  With an embedding, every valid one
+        is scored in one pass from prefix sums of the node-centred
+        embedding, and those within the rounding tolerance of the best are
+        kept, so that exact re-scoring picks the same one."""
+        if self.emb is None:
+            return _valid_thresholds(np.sort(values), min_leaf)[0]
+        order = np.argsort(values, kind="stable")
+        mids, n_left = _valid_thresholds(values[order], min_leaf)
+        if mids.size <= 1:
+            return mids
+        e = self.emb[samples[order]]
+        n = len(e)
+        sumsq = float(np.sum(e * e))
+        cs = np.cumsum(e - e.mean(axis=0), axis=0)
+        left = cs[n_left - 1]
+        right = cs[-1] - left
+        gain = (np.einsum("ij,ij->i", left, left) / n_left
+                + np.einsum("ij,ij->i", right, right) / (n - n_left)
+                - (cs[-1] @ cs[-1]) / n) / n
+        return mids[gain >= gain.max() - self.SCREEN_RTOL * sumsq / n]
 
 
 _SHARED_ENGINES = contextvars.ContextVar("shared_node_sums", default=None)
@@ -313,9 +287,7 @@ def _responses_for(space: MetricSpace, ystack: np.ndarray):
     key = (space, id(ystack))
     engine = shared.get(key)
     if engine is None or engine.ystack is not ystack:
-        engine = shared[key] = (_EmbeddedResponses
-                                if spaces.has_embedding(space)
-                                else _MetricResponses)(space, ystack)
+        engine = shared[key] = _Responses(space, ystack)
     return engine
 
 
@@ -520,15 +492,15 @@ def leaf_for(tree: FrechetTree, x: np.ndarray) -> np.ndarray:
 def tree_predict(tree: FrechetTree, x: np.ndarray, ystack: np.ndarray,
                  space: MetricSpace) -> np.ndarray:
     """Equal-weight Frechet mean of the leaf that contains ``x``, solved as
-    growth solves a node (``sum_sq_to_mean``) and kept in ``tree.leaf_means``,
-    so a loaded tree predicts as the fitted one.  ``ystack`` must be the
-    responses ``tree`` was grown on."""
+    growth solves a node (``sum_sq_to_means``) and kept in
+    ``tree.leaf_means``, so a loaded tree predicts as the fitted one.
+    ``ystack`` must be the responses ``tree`` was grown on."""
     idx = leaf_for(tree, x)
     key = idx.tobytes()
     mean = tree.leaf_means.get(key)
     if mean is None:
-        mean = tree.leaf_means[key] = spaces.sum_sq_to_mean(space,
-                                                            ystack[idx])[1]
+        mean = tree.leaf_means[key] = spaces.sum_sq_to_means(
+            space, ystack, [idx])[0][1]
     return mean
 
 

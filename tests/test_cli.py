@@ -97,6 +97,30 @@ def test_fit_predict_interpolates_training_data(tmp_path):
     assert np.max(np.abs(pred[:, -1] - 1.0)) < 1e-8
 
 
+def test_fit_rejects_identical_trees_drawn_without_replacement(tmp_path,
+                                                               capsys):
+    # subsamples of size n without replacement, mtry = p and no honesty
+    # grow the same tree every time; honesty or mtry < p vary the trees
+    out = tmp_path / "data"
+    cli.main(["simulate", "--scenario", "I-2", "--p", "2", "--n", "60",
+              "--seed", "2", "--out-dir", str(out)])
+    fit = ["fit", "--estimator", "rfwlcfr", "--space", "wasserstein",
+           "--dim", "21", "--x", str(out / "X.csv"), "--y",
+           str(out / "Y.csv"), "--seed", "2", "--max-depth", "3",
+           "--subsample-mode", "without_replacement", "--num-trees", "5"]
+    capsys.readouterr()
+    assert cli.main(fit + ["--out", str(tmp_path / "copies.json")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["command"] == "fit"
+    assert "identical trees" in err["error"]
+    assert not (tmp_path / "copies.json").exists()
+    for extra in (["--honest"], ["--mtry", "1"]):
+        model = tmp_path / f"m{len(extra)}.json"
+        assert cli.main(fit + extra + ["--out", str(model)]) == 0
+        trees = json.loads(model.read_text())["model"]["trees"]
+        assert len({json.dumps(t) for t in trees}) > 1
+
+
 def test_tune_best_matches_table_argmin(tmp_path):
     out = tmp_path / "data"
     cli.main(["simulate", "--scenario", "I-1", "--p", "2", "--n", "40",

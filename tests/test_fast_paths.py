@@ -2,7 +2,7 @@
 
 Covers the support-only mean solve, the moving-frame affine descent
 (checked against the square-root descent of earlier versions), the split
-sums of ``sum_sq_to_mean`` (bit for bit those of earlier versions), the
+sums of ``sum_sq_to_means`` (bit for bit those of earlier versions), the
 square-root descent that builds logs only for its gradient and returns
 its final iterate (bit for bit the earlier one, which grows the same
 affine forests), the optimality of the affine means that growth keeps,
@@ -186,11 +186,10 @@ def test_split_sums_match_earlier_versions_bit_for_bit(space):
             mean = _reference_affine_mean(space, ys, w)
         else:
             mean = weighted_frechet_mean(space, ys, w)
-        assert spaces.sum_sq_to_mean(space, ys)[0] == \
-            frechet_objective(space, ys, w, mean)
+        [(ss, kept)] = spaces.sum_sq_to_means(space, ys, [np.arange(n)])
+        assert ss == frechet_objective(space, ys, w, mean)
         if space.kind != spaces.SPD_AFFINE:
             # the mean growth keeps is the single solver's, bit for bit
-            kept = spaces.sum_sq_to_mean(space, ys)[1]
             assert np.array_equal(kept, mean)
 
 
@@ -376,8 +375,8 @@ def test_stored_affine_means_are_optimal(space):
         assert obj <= ref_obj + 1e-12 * ref_obj
 
 
-class _FreshResponses(tree._MetricResponses):
-    """The curved-space engine with its memo emptied before every solve."""
+class _FreshResponses(tree._Responses):
+    """The split engine with its memo emptied before every solve."""
 
     def node_ss(self, idx):
         self._ss.clear()
@@ -499,26 +498,27 @@ def test_level_rounds_grow_the_recursive_trees(monkeypatch, space, p,
         assert all(np.array_equal(means[k], ref[k]) for k in ref)
 
 
-def test_level_rounds_solve_the_same_sets_in_few_calls(monkeypatch):
-    # with mtry == p a tree solves each level's split sums in one batched
-    # descent: the same distinct index sets as the recursion, which solves
-    # them one per call
+@pytest.mark.parametrize("space", [spd_space(2, "affine"), sphere_space(3)],
+                         ids=lambda s: s.kind)
+def test_level_rounds_solve_the_same_sets_in_few_calls(monkeypatch, space):
+    # with mtry == p every curved space queues a level's split sums and
+    # solves them in one ``sum_sq_to_means`` call: the same distinct index
+    # sets as the recursion, which solves them one per call
     rng = np.random.default_rng(73)
     n, trees, max_depth = 60, 3, 5
-    space = spd_space(2, "affine")
     X = rng.uniform(size=(n, 2))
     Y = _objects(space, n, rng)
     config = ForestConfig(num_trees=trees, master_seed=5, tree=TreeConfig(
         max_depth=max_depth, min_leaf=3))
     solves = _counting_sum_sq(monkeypatch)
     calls = []
-    descent = spaces._affine_sqrt_dist2_rows
+    queue = spaces.sum_sq_to_means
 
     def counting(*args):
         calls.append(1)
-        return descent(*args)
+        return queue(*args)
 
-    monkeypatch.setattr(spaces, "_affine_sqrt_dist2_rows", counting)
+    monkeypatch.setattr(spaces, "sum_sq_to_means", counting)
     fit_forest(X, Y, space, config)
     level_solves, level_calls = len(solves), len(calls)
     solves.clear()
@@ -539,7 +539,8 @@ def _fresh_leaf_means(model, x):
     out = []
     for t in model.trees:
         ys = model.Y[tree.leaf_for(t, x)]
-        mean = spaces.sum_sq_to_mean(model.space, ys)[1]
+        mean = spaces.sum_sq_to_means(model.space, ys,
+                                      [np.arange(len(ys))])[0][1]
         single = weighted_frechet_mean(model.space, ys, np.ones(len(ys)))
         if model.space.kind == spaces.SPD_AFFINE:
             assert np.max(np.abs(mean - single)) <= 1e-5
@@ -914,8 +915,7 @@ def test_sphere_maps_equal_earlier_formulas_bit_for_bit(d):
 
 def _counting_sum_sq(monkeypatch):
     """A list that gains one entry per index set solved for its sum of
-    squares: ``sum_sq_to_mean`` solves through ``sum_sq_to_means``, which
-    solves a set per row."""
+    squares, through ``sum_sq_to_means``."""
     solves = []
     original = spaces.sum_sq_to_means
 
@@ -1020,9 +1020,8 @@ def test_shared_split_scores_grow_the_same_trees(monkeypatch, space,
         return wrapped
 
     monkeypatch.setattr(tree, "two_means_1d", counting(tree.two_means_1d))
-    for cls in (tree._EmbeddedResponses, tree._MetricResponses):
-        monkeypatch.setattr(cls, "threshold_candidates",
-                            counting(cls.threshold_candidates))
+    monkeypatch.setattr(tree._Responses, "threshold_candidates",
+                        counting(tree._Responses.threshold_candidates))
     unshared = _grid_forests(Xs, Y, space, split_method, honest, grid)
     unshared_scored = len(scored)
     scored.clear()
