@@ -97,15 +97,39 @@ def fit_forest(X: np.ndarray, Y: np.ndarray, space: MetricSpace,
     return ForestModel(trees, X, Y, space, config)
 
 
+def leaf_weights(tree: FrechetTree, leaf: np.ndarray) -> tuple:
+    """``(indices, values)``: the nonzero entries of the leaf's weight
+    vector ``bincount(leaf) / len(leaf)``, kept in ``tree.leaf_weights``."""
+    key = leaf.tobytes()
+    vec = tree.leaf_weights.get(key)
+    if vec is None:
+        counts = np.bincount(leaf)
+        idx = np.flatnonzero(counts)
+        vec = tree.leaf_weights[key] = (idx, counts[idx] / len(leaf))
+    return vec
+
+
+def forest_weights(model: ForestModel, X_query: np.ndarray) -> np.ndarray:
+    """Kernel weights alpha(x) of every row of ``X_query``, one per row.
+
+    Each query is routed through each tree once, as a list of floats,
+    which compare as its float64 values do but faster.  A row gets its
+    trees' leaf weights added in tree order, so it is ``kernel_weights`` of
+    its query, bit for bit.
+    """
+    X_query = np.asarray(X_query, dtype=float)
+    A = np.zeros((len(X_query), model.n_samples))
+    rows = X_query.tolist()
+    for t in model.trees:
+        for a, x in zip(A, rows):
+            idx, values = leaf_weights(t, leaf_for(t, x))
+            a[idx] += values
+    return A / len(model.trees)
+
+
 def kernel_weights(model: ForestModel, x: np.ndarray) -> np.ndarray:
     """Forest kernel weights alpha_i(x) over the training samples."""
-    x = np.asarray(x, dtype=float)
-    n = model.n_samples
-    w = np.zeros(n)
-    for t in model.trees:
-        leaf = leaf_for(t, x)
-        w += np.bincount(leaf, minlength=n) / len(leaf)
-    return w / len(model.trees)
+    return forest_weights(model, np.asarray(x, dtype=float)[None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ Baselines (need only the training data):
 * ``nw``         -- Nadaraya-Watson with the Epanechnikov product kernel.
 * ``lfr_kernel`` -- local-linear Frechet regression with the same kernel.
 
-:func:`predict_batch`, which ``bench-table`` and ``tune`` predict through,
-solves each (model, kind) batch except ``frf`` with one
+:func:`predict_batches`, which ``bench-table`` and ``tune`` predict
+through, scores a fitted forest once per query batch for all its kinds:
+one kernel-weight pass serves ``rfwlcfr`` and ``rfwllfr``.  It solves each
+(model, kind) batch except ``frf`` with one
 :func:`spaces.weighted_frechet_means` call: one vectorised descent on the
 sphere.  The per-query ``predict_<kind>`` functions and CLI ``predict`` use
 the single solver ``spaces.weighted_frechet_mean``; the two agree within
@@ -35,7 +37,8 @@ from typing import Optional
 import numpy as np
 
 from . import spaces
-from .forest import ForestConfig, ForestModel, fit_forest, kernel_weights
+from .forest import (ForestConfig, ForestModel, fit_forest, forest_weights,
+                     kernel_weights)
 from .spaces import MetricSpace
 from .tree import TreeConfig, depth_grid, shared_node_sums, tree_predict
 
@@ -126,18 +129,42 @@ _FOREST_PREDICTORS = {"rfwlcfr": predict_rfwlcfr,
 
 def predict_forest_batch(model: ForestModel, X_query: np.ndarray,
                          kind: str) -> np.ndarray:
-    """``predict_<kind>`` at every row of ``X_query``.
+    """``predict_<kind>`` at every row of ``X_query``: the scoring pass of
+    :func:`predict_batches` with one forest kind."""
+    if kind not in _FOREST_PREDICTORS:
+        raise ValueError(f"unknown forest estimator {kind!r}")
+    return predict_batch(kind, model, X_query)
 
-    ``frf`` predicts query by query; ``rfwlcfr`` and ``rfwllfr`` stack the
-    weights of every query and solve them with one
-    :func:`spaces.weighted_frechet_means` call.
+
+def _local_linear_rows(X: np.ndarray, X_query: np.ndarray, A: np.ndarray):
+    """``local_linear_weights(X, x, a)`` for each query row ``x`` and weight
+    row ``a`` of ``A``, bit for bit, in order.
+
+    A block of rows shares one stacked solve: the same products and LAPACK
+    calls, per row, as the single form.  A row the stacked solve cannot
+    give (a singular design raises or yields non-finite values) and a row
+    whose total is not positive take the single form, with its ridge and
+    its errors.  Blocks of about ``spaces._BLOCK_ENTRIES`` design entries
+    bound the working arrays.
     """
-    fn = _FOREST_PREDICTORS[kind]
-    X_query = np.asarray(X_query, dtype=float)
-    if kind == "frf":
-        return np.stack([fn(model, x) for x in X_query])
-    return _batch_means(model.space, model.Y,
-                        (_query_weights(kind, model, x) for x in X_query))
+    n, q = X.shape[0], X.shape[1] + 1
+    rows = max(1, spaces._BLOCK_ENTRIES // (n * q))
+    for s in range(0, len(A), rows):
+        Xb, Ab = X_query[s:s + rows], A[s:s + rows]
+        design = np.ones((len(Xb), n, q))
+        np.subtract(X, Xb[:, None], out=design[:, :, 1:])
+        M = design.transpose(0, 2, 1) @ (Ab[:, :, None] * design)
+        e1 = np.zeros((len(Xb), q, 1))
+        e1[:, 0] = 1.0
+        try:
+            V = np.linalg.solve(M, e1)
+        except np.linalg.LinAlgError:
+            V = np.full_like(e1, np.nan)
+        solved = np.isfinite(V).all(axis=(1, 2))
+        V[~solved] = 0.0
+        T = Ab * (design @ V)[:, :, 0]
+        for x, a, t, ok in zip(Xb, Ab, T, solved):
+            yield t if ok and a.sum() > 0 else local_linear_weights(X, x, a)
 
 
 def _query_weights(kind: str, fitted, x: np.ndarray) -> np.ndarray:
@@ -240,6 +267,27 @@ def product_kernel_weights(X: np.ndarray, x: np.ndarray,
     return w / total
 
 
+def has_kernel_mass(X: np.ndarray, X_query: np.ndarray,
+                    bandwidth: float) -> np.ndarray:
+    """Whether each row of ``X_query`` gets kernel mass, that is whether
+    :func:`product_kernel_weights` at it does not raise.
+
+    A query has mass where some sample's product of factors is positive,
+    the product taken feature by feature, in the order ``np.prod`` takes
+    it, so that an underflow decides as it does there.  A sample on the
+    kernel's edge, ``|u| = 1``, gets weight 0.  The working arrays are
+    (queries x samples), one feature at a time.
+    """
+    h = _check_bandwidth(bandwidth)
+    X = np.asarray(X, dtype=float)
+    X_query = np.asarray(X_query, dtype=float)
+    w = np.ones((len(X_query), len(X)))
+    for j in range(X.shape[1]):
+        u = (X[:, j] - X_query[:, j, None]) / h
+        w *= np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+    return (w > 0).any(axis=1)
+
+
 def predict_nw(X: np.ndarray, Y: np.ndarray, space: MetricSpace,
                x: np.ndarray, bandwidth: float) -> np.ndarray:
     """Nadaraya-Watson Frechet prediction."""
@@ -297,20 +345,51 @@ def fit_cell(kind: str, X: np.ndarray, Y: np.ndarray, space: MetricSpace,
     raise ValueError(f"unknown estimator {kind!r}")
 
 
-def predict_batch(kind: str, fitted, X_query: np.ndarray) -> np.ndarray:
-    """Predictions of ``kind`` from a :func:`fit_cell` state, one per row.
+def predict_batches(kinds, fitted, X_query: np.ndarray) -> dict:
+    """``{kind: predictions at every row of X_query}`` of kinds that share
+    one :func:`fit_cell` state.  A kind that raises ``ValueError`` or
+    ``LinAlgError`` maps to that exception, so it fails alone.
 
-    Except for ``frf``, the weights of every row are solved by one
-    :func:`spaces.weighted_frechet_means` call: on the sphere one
-    vectorised descent, which agrees with the per-query ``predict_<kind>``
-    within 1e-6; elsewhere the per-query solves, bit for bit.
+    ``rfwlcfr`` and ``rfwllfr`` average one :func:`forest.forest_weights`
+    pass, each query routed through each tree once, and ``rfwllfr`` turns
+    it into local-linear weights with :func:`_local_linear_rows`.  ``frf``
+    predicts query by query.  The weights of every row of any other kind
+    are solved by one :func:`spaces.weighted_frechet_means` call: on the
+    sphere one vectorised descent, which agrees with the per-query
+    ``predict_<kind>`` within 1e-6; elsewhere the per-query solves, bit for
+    bit.
     """
-    if kind in FOREST_KINDS:
-        return predict_forest_batch(fitted, X_query, kind)
-    space, Y = ((fitted.space, fitted.Y) if kind == "gfr"
-                else (fitted[2], fitted[1]))
-    return _batch_means(space, Y, (_query_weights(kind, fitted, x)
-                                   for x in np.asarray(X_query, dtype=float)))
+    X_query = np.asarray(X_query, dtype=float)
+    out, alpha = {}, None
+    for kind in kinds:
+        try:
+            if kind == "frf":
+                out[kind] = np.stack([predict_frf(fitted, x)
+                                      for x in X_query])
+                continue
+            if kind in FOREST_KINDS:
+                if alpha is None:
+                    alpha = forest_weights(fitted, X_query)
+                space, Y = fitted.space, fitted.Y
+                rows = (alpha if kind == "rfwlcfr" else
+                        _local_linear_rows(fitted.X, X_query, alpha))
+            else:
+                space, Y = ((fitted.space, fitted.Y) if kind == "gfr"
+                            else (fitted[2], fitted[1]))
+                rows = (_query_weights(kind, fitted, x) for x in X_query)
+            out[kind] = _batch_means(space, Y, rows)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            out[kind] = exc
+    return out
+
+
+def predict_batch(kind: str, fitted, X_query: np.ndarray) -> np.ndarray:
+    """Predictions of ``kind`` from a :func:`fit_cell` state, one per row:
+    :func:`predict_batches` with one kind, raising what it raised."""
+    out = predict_batches((kind,), fitted, X_query)[kind]
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def evaluate_mse(predictions: np.ndarray, truths: np.ndarray,
@@ -318,9 +397,7 @@ def evaluate_mse(predictions: np.ndarray, truths: np.ndarray,
     """Mean squared distance between predictions and targets."""
     if len(predictions) != len(truths):
         raise ValueError("predictions and truths have different lengths")
-    d2 = [spaces.distance(space, a, b) ** 2
-          for a, b in zip(predictions, truths)]
-    return float(np.mean(d2))
+    return float(np.mean(spaces.pair_dist2(space, predictions, truths)))
 
 
 def default_mtry_grid(p: int) -> list:
@@ -369,7 +446,8 @@ def cv_errors(X: np.ndarray, Y: np.ndarray, space: MetricSpace, kinds,
     or prediction that raises ``ValueError`` or ``LinAlgError`` scores
     infinity, and ``failures``, if given a list, receives ``(cell index,
     fold, kind, str(exc))`` for each such score.  The forests of one fold
-    share their node sums (``tree.shared_node_sums``).
+    share their node sums (``tree.shared_node_sums``), and one
+    :func:`predict_batches` call scores every kind of a cell and fold.
     """
     if folds < 2:
         raise ValueError("need at least 2 folds")
@@ -395,10 +473,13 @@ def cv_errors(X: np.ndarray, Y: np.ndarray, space: MetricSpace, kinds,
                 except (ValueError, np.linalg.LinAlgError) as exc:
                     score_inf(ci, f, kinds, exc)
                     continue
+                preds = predict_batches(kinds, fitted, Xte)
                 for k in kinds:
                     try:
-                        errors[k][ci, f] = evaluate_mse(
-                            predict_batch(k, fitted, Xte), Y[test_idx], space)
+                        if isinstance(preds[k], Exception):
+                            raise preds[k]
+                        errors[k][ci, f] = evaluate_mse(preds[k], Y[test_idx],
+                                                        space)
                     except (ValueError, np.linalg.LinAlgError) as exc:
                         score_inf(ci, f, [k], exc)
     return errors

@@ -28,7 +28,7 @@ from . import regressors
 from .regressors import FOREST_KINDS, KERNEL_KINDS, evaluate_mse
 from .spaces import (MetricSpace, matrix_exp, sphere_exp, spd_space,
                      sphere_space, wasserstein_space)
-from .tree import TreeConfig
+from .tree import TreeConfig, shared_node_sums
 
 SCENARIOS = ("I-1", "I-2", "I-3", "II-1", "II-2", "III-1", "III-2")
 
@@ -333,26 +333,33 @@ def run_once(setting: SimSetting, estimators, cfg: MonteCarloConfig,
         failed += [{"run": run_index, "estimator": k, "cell": grid[ci],
                     "fold": f, "error": msg} for ci, f, k, msg in cv]
         if family is KERNEL_KINDS:  # every test point needs kernel mass
-            for ci, h in enumerate(cell["bandwidth"] for cell in grid):
-                try:
-                    for x in test.X:
-                        regressors.product_kernel_weights(train.X, x, h)
-                except ValueError:
+            for ci, cell in enumerate(grid):
+                if not regressors.has_kernel_mass(train.X, test.X,
+                                                  cell["bandwidth"]).all():
                     for k in kinds:
                         errors[k][ci] = math.inf
         for k in kinds:
             best[k] = regressors.best_cell(grid, errors[k])
-    out, fitted = {}, {}
-    for k in estimators:
-        cell = best.get(k, {})
-        # the forest kinds share one final forest per chosen cell
-        key = tuple(cell.items()) if k in FOREST_KINDS else k
-        if key not in fitted:
-            fitted[key] = regressors.fit_cell(
-                k, train.X, train.Y, train.space, cell, cfg.num_trees, base,
-                seed * 7 + run_index)
-        preds = regressors.predict_batch(k, fitted[key], test.X)
-        out[k] = evaluate_mse(preds, test.truth, train.space)
+    out, fitted, preds = {}, {}, {}
+    # the forest kinds share one final forest per chosen cell, scored for
+    # all of them at once; the forests draw the same bootstraps, so they
+    # share their node sums
+    with shared_node_sums():
+        for k in estimators:
+            cell = best.get(k, {})
+            key = tuple(cell.items()) if k in FOREST_KINDS else k
+            if key not in fitted:
+                fitted[key] = regressors.fit_cell(
+                    k, train.X, train.Y, train.space, cell, cfg.num_trees,
+                    base, seed * 7 + run_index)
+            if k not in preds:
+                kinds = ([e for e in estimators if e in FOREST_KINDS
+                          and best[e] == cell] if k in FOREST_KINDS else [k])
+                preds.update(regressors.predict_batches(kinds, fitted[key],
+                                                        test.X))
+            if isinstance(preds[k], Exception):
+                raise preds[k]
+            out[k] = evaluate_mse(preds[k], test.truth, train.space)
     return out, failed
 
 

@@ -156,11 +156,14 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
 
 
 def _sqrt_and_invsqrt(y: np.ndarray):
+    """Square root and inverse square root of an SPD matrix, or of each
+    matrix of a stack."""
     vals, vecs = np.linalg.eigh(y)
-    if vals[0] <= 0:
+    if np.any(vals[..., 0] <= 0):
         raise ValueError("matrix is not positive definite")
-    s = np.sqrt(vals)
-    return (vecs * s) @ vecs.T, (vecs / s) @ vecs.T
+    s = np.sqrt(vals)[..., None, :]
+    vt = np.swapaxes(vecs, -1, -2)
+    return (vecs * s) @ vt, (vecs / s) @ vt
 
 
 # ---------------------------------------------------------------------------
@@ -263,23 +266,31 @@ def distance(space: MetricSpace, a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return float(np.sqrt(pair_dist2(space, a[None], b[None])[0]))
+
+
+def pair_dist2(space: MetricSpace, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared distances ``d^2(A_k, B_k)`` between the rows of two stacks."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if A.shape != B.shape:
+        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
     if space.kind == WASSERSTEIN:
-        return float(np.sqrt(1.0 / space.dim * np.sum((a - b) ** 2)))
+        return 1.0 / space.dim * np.sum((A - B) ** 2, axis=1)
     if space.kind == SPHERE:
         # half-angle form: exact for nearby points, where arccos of the dot
         # product cannot resolve angles below about 1.5e-8
-        return float(2.0 * np.arctan2(np.linalg.norm(a - b),
-                                      np.linalg.norm(a + b)))
+        return (2.0 * np.arctan2(np.linalg.norm(A - B, axis=1),
+                                 np.linalg.norm(A + B, axis=1))) ** 2
     if space.kind == SPD_LOGCHOLESKY:
-        ea, eb = embed(space, np.stack([a, b]))
-        return float(np.linalg.norm(ea - eb))
+        return np.sum((embed(space, A) - embed(space, B)) ** 2, axis=1)
     # affine-invariant
-    _, isq = _sqrt_and_invsqrt(a)
-    mid = isq @ b @ isq
-    vals = np.linalg.eigvalsh((mid + mid.T) / 2.0)
-    if vals[0] <= 0:
+    _, isq = _sqrt_and_invsqrt(A)
+    mid = isq @ B @ isq
+    vals = np.linalg.eigvalsh((mid + np.swapaxes(mid, 1, 2)) / 2.0)
+    if np.any(vals[:, 0] <= 0):
         raise ValueError("matrix is not positive definite")
-    return float(np.sqrt(np.sum(np.log(vals) ** 2)))
+    return np.sum(np.log(vals) ** 2, axis=1)
 
 
 def dist2_to_point(space: MetricSpace, ystack: np.ndarray,
@@ -385,7 +396,7 @@ def weighted_frechet_mean(space: MetricSpace, ystack: np.ndarray,
     # is much cheaper than an elementwise test on every call
     if not (np.isfinite(total) and np.isfinite(ystack.sum())):
         raise ValueError("weights and objects must be finite")
-    if total <= 0 or not np.any(w != 0):
+    if total <= 0:
         raise ValueError("total weight must be positive")
     wn = w / total
     support = wn != 0
@@ -462,7 +473,7 @@ def weighted_frechet_means(space: MetricSpace, ystack: np.ndarray,
         return np.stack([weighted_frechet_mean(space, ystack, w) for w in W])
     totals = W.sum(axis=1)
     finite = np.isfinite(totals) & np.isfinite(ystack.sum())
-    ok = finite & (totals > 0) & np.any(W != 0, axis=1)
+    ok = finite & (totals > 0)
     if not ok.all():  # the first failing row's message, as row by row
         k = int(np.argmin(ok))
         raise ValueError("weights and objects must be finite" if not finite[k]

@@ -107,6 +107,9 @@ class FrechetTree:
     prediction_half: Optional[np.ndarray] = None
     # leaf means by index bytes, from growth or tree_predict; not serialised
     leaf_means: dict = field(default_factory=dict, repr=False, compare=False)
+    # kernel-weight vectors by index bytes, from forest.leaf_weights
+    leaf_weights: dict = field(default_factory=dict, repr=False,
+                               compare=False)
 
     def to_dict(self) -> dict:
         return {"root": _nodes(self.root, np.ndarray.tolist)}

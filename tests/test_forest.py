@@ -1,15 +1,17 @@
 """Forest construction and the random-forest kernel weights."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from frechetforest.forest import (ForestConfig, ForestModel, fit_forest,
-                                  kernel_weights, model_from_dict,
+                                  forest_weights, kernel_weights,
+                                  leaf_weights, model_from_dict,
                                   model_to_dict)
 from frechetforest.spaces import wasserstein_space
-from frechetforest.tree import FrechetTree, TreeConfig, tree_predict
+from frechetforest.tree import FrechetTree, TreeConfig, leaf_for, tree_predict
 
 SCALAR = wasserstein_space(1)
 
@@ -179,3 +181,60 @@ def test_model_document_roundtrip_is_byte_identical(tree_kw, mode):
     doc = model_to_dict(fit_forest(X, Y, SCALAR, cfg))
     assert any("rule" in t["root"] for t in doc["trees"])
     assert json.dumps(model_to_dict(model_from_dict(doc))) == json.dumps(doc)
+
+
+def _dense_kernel_weights(model, x):
+    # the dense form: each tree adds bincount(leaf, minlength=n) / |leaf|
+    w = np.zeros(model.n_samples)
+    for t in model.trees:
+        leaf = leaf_for(t, x)
+        w += np.bincount(leaf, minlength=model.n_samples) / len(leaf)
+    return w / len(model.trees)
+
+
+@pytest.mark.parametrize("scenario, metric", [
+    ("I-2", "logcholesky"), ("II-1", "logcholesky"), ("II-1", "affine"),
+    ("III-2", "logcholesky")])
+@pytest.mark.parametrize("mode, honest", [
+    ("bootstrap_with_replacement", False),
+    ("bootstrap_with_replacement", True),
+    ("without_replacement", False), ("without_replacement", True)])
+def test_forest_weights_equal_per_query_weights_bit_for_bit(scenario, metric,
+                                                            mode, honest):
+    from frechetforest import simulate
+    rng = np.random.default_rng(21)
+    data = simulate.generate(simulate.SimSetting(scenario, p=2, n=30,
+                                                 spd_metric=metric), rng)
+    cfg = ForestConfig(num_trees=4, subsample_mode=mode, master_seed=2,
+                       subsample_size=None if mode.startswith("boot") else 24,
+                       tree=TreeConfig(max_depth=4, min_leaf=2, honest=honest))
+    model = fit_forest(data.X, data.Y, data.space, cfg)
+    loaded = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+    Xq = np.concatenate([rng.uniform(size=(7, 2)), data.X[:3]])
+    for m in (model, loaded):
+        A = forest_weights(m, Xq)
+        assert A.shape == (len(Xq), len(data.X))
+        for a, x in zip(A, Xq):
+            assert np.array_equal(a, kernel_weights(m, x))
+            assert np.array_equal(a, _dense_kernel_weights(m, x))
+    assert np.array_equal(forest_weights(loaded, Xq),
+                          forest_weights(model, Xq))
+
+
+def test_leaf_weights_are_kept_per_tree_and_not_serialised():
+    rng = np.random.default_rng(22)
+    X = rng.uniform(size=(30, 2))
+    Y = scalar_data(rng.normal(size=30))
+    model = fit_forest(X, Y, SCALAR, ForestConfig(
+        num_trees=2, tree=TreeConfig(max_depth=3, min_leaf=3)))
+    doc = model_to_dict(model)
+    t = model.trees[0]
+    leaf = leaf_for(t, X[0])
+    idx, values = leaf_weights(t, leaf)
+    assert leaf_weights(t, leaf) is t.leaf_weights[leaf.tobytes()]
+    dense = np.bincount(leaf, minlength=30) / len(leaf)
+    assert np.array_equal(idx, np.flatnonzero(dense))
+    assert np.array_equal(values, dense[idx])
+    assert model_to_dict(model) == doc
+    field = {f.name: f for f in dataclasses.fields(FrechetTree)}
+    assert not field["leaf_weights"].compare

@@ -407,3 +407,107 @@ def test_predict_batch_raises_an_earlier_rows_solve_error_first(monkeypatch):
             assert "total" in str(single.value)
             with pytest.raises(ValueError, match=str(single.value)):
                 regressors.predict_batch(kind, (X, ys, space, 0.5), Xq)
+
+
+# ---------------------------------------------------------------------------
+# one scoring pass per forest and query batch
+
+
+def test_forest_cv_routes_each_tree_and_query_once_per_cell_and_fold(
+        monkeypatch):
+    from frechetforest import forest
+    rng = np.random.default_rng(18)
+    n, folds, num_trees = 36, 3, 4
+    X = rng.uniform(size=(n, 2))
+    space = wasserstein_space(5)
+    Y = np.sort(X[:, :1] + 0.2 * rng.normal(size=(n, 5)), axis=1)
+    grid = [{"max_depth": d, "mtry": m} for d in (2, 4) for m in (1, 2)]
+    routed = []
+    original = forest.leaf_for
+
+    def counting(tree, x):
+        routed.append(1)
+        return original(tree, x)
+
+    monkeypatch.setattr(forest, "leaf_for", counting)
+    errors = regressors.cv_errors(X, Y, space, ["rfwlcfr", "rfwllfr"], grid,
+                                  folds, 5, num_trees, TreeConfig(min_leaf=3))
+    assert all(np.isfinite(e).all() for e in errors.values())
+    # the test folds hold each sample once
+    assert len(routed) == len(grid) * num_trees * n
+
+
+def test_predict_batches_share_one_forest_pass_and_fail_alone(monkeypatch):
+    rng = np.random.default_rng(19)
+    X = rng.uniform(size=(40, 2))
+    Y = scalar_data(X[:, 0] + 0.1 * rng.normal(size=40))
+    model = scalar_forest(X, Y[:, 0], seed=4)
+    Xq = rng.uniform(size=(6, 2))
+    expected = {k: regressors.predict_batch(k, model, Xq)
+                for k in regressors.FOREST_KINDS}
+    passes = []
+    original = regressors.forest_weights
+
+    def counting(*args):
+        passes.append(1)
+        return original(*args)
+
+    def failing(*args):
+        raise ValueError("local design failed")
+
+    monkeypatch.setattr(regressors, "forest_weights", counting)
+    out = regressors.predict_batches(regressors.FOREST_KINDS, model, Xq)
+    assert len(passes) == 1
+    for k in regressors.FOREST_KINDS:
+        assert np.array_equal(out[k], expected[k])
+    monkeypatch.setattr(regressors, "_local_linear_rows", failing)
+    out = regressors.predict_batches(regressors.FOREST_KINDS, model, Xq)
+    assert str(out["rfwllfr"]) == "local design failed"
+    for k in ("rfwlcfr", "frf"):
+        assert np.array_equal(out[k], expected[k])
+    with pytest.raises(ValueError, match="local design failed"):
+        regressors.predict_forest_batch(model, Xq, "rfwllfr")
+
+
+def test_local_linear_rows_equal_the_single_form_bit_for_bit():
+    rng = np.random.default_rng(41)
+    # the last shape spans two blocks of rows
+    for n, p, m in ((67, 2, 33), (30, 1, 5), (25, 4, 40)):
+        X = rng.uniform(size=(n, p))
+        Xq = rng.uniform(size=(m, p))
+        A = rng.uniform(size=(m, n)) * (rng.uniform(size=(m, n)) < 0.5)
+        # all weight on a sample at the query: a singular design, which
+        # fails its block's stacked solve and takes the ridge
+        Xq[1], A[1] = X[3], np.eye(n)[3]
+        rows = list(regressors._local_linear_rows(X, Xq, A))
+        assert len(rows) == m
+        for t, x, a in zip(rows, Xq, A):
+            assert np.array_equal(t, local_linear_weights(X, x, a))
+    A[2] = 0.0
+    rows = regressors._local_linear_rows(X, Xq, A)
+    next(rows), next(rows)
+    with pytest.raises(ValueError, match="total kernel weight must be"):
+        next(rows)
+
+
+def test_kernel_mass_screen_decides_as_product_kernel_weights():
+    rng = np.random.default_rng(43)
+    X = rng.uniform(size=(40, 2))
+    Xq = np.concatenate([rng.uniform(-0.3, 1.3, size=(60, 2)), X[:5] + 0.04])
+    for h in (0.02, 0.05, 0.25):
+        mass = regressors.has_kernel_mass(X, Xq, h)
+        for x, ok in zip(Xq, mass):
+            try:
+                regressors.product_kernel_weights(X, x, h)
+            except ValueError:
+                assert not ok
+            else:
+                assert ok
+    assert not regressors.has_kernel_mass(X, Xq, 0.02).all()
+    assert regressors.has_kernel_mass(X, Xq, 0.02).any()
+    # a sample on the kernel's edge, |u| = 1, gets weight 0
+    X1 = np.array([[0.0], [0.5]])
+    assert not regressors.has_kernel_mass(X1, np.array([[0.25]]), 0.25)[0]
+    assert regressors.has_kernel_mass(X1, np.array([[0.2]]), 0.25)[0]
+    with pytest.raises(ValueError, match="no kernel mass"):
+        regressors.product_kernel_weights(X1, np.array([0.25]), 0.25)

@@ -323,3 +323,50 @@ def test_space_dimension_must_be_a_positive_integer(dim):
     # a bool or a float passed as the dimension and reached the model file
     with pytest.raises(ValueError, match="must be an integer >= 1"):
         MetricSpace(spaces.SPHERE, dim)
+
+
+def _pair_distance(space, a, b):
+    # each geometry's distance as its own closed form, pair by pair
+    if space.kind == spaces.WASSERSTEIN:
+        return math.sqrt(np.sum((a - b) ** 2) / space.dim)
+    if space.kind == spaces.SPHERE:
+        return 2.0 * math.atan2(np.linalg.norm(a - b), np.linalg.norm(a + b))
+    if space.kind == spaces.SPD_LOGCHOLESKY:
+        return float(np.linalg.norm(embed(space, a[None])[0]
+                                    - embed(space, b[None])[0]))
+    vals, vecs = np.linalg.eigh(a)
+    isq = (vecs / np.sqrt(vals)) @ vecs.T
+    mid = isq @ b @ isq
+    vals = np.linalg.eigvalsh((mid + mid.T) / 2)
+    return math.sqrt(np.sum(np.log(vals) ** 2))
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: s.kind)
+def test_pair_dist2_rows_equal_per_pair_distances(space):
+    rng = np.random.default_rng(31)
+    A = np.stack([random_object(space, rng) for _ in range(12)])
+    B = np.stack([random_object(space, rng) for _ in range(12)])
+    if space.kind == spaces.SPHERE:  # and pairs 1e-12 to 1e-6 apart
+        for k, eps in enumerate((1e-12, 1e-10, 1e-8, 1e-6)):
+            t = rng.normal(size=space.dim)
+            t -= (t @ A[k]) * A[k]
+            B[k] = sphere_exp(A[k], eps * t / np.linalg.norm(t))
+    d = np.sqrt(spaces.pair_dist2(space, A, B))
+    assert d.shape == (12,)
+    for dk, a, b in zip(d, A, B):
+        assert dk == pytest.approx(distance(space, a, b), rel=1e-15, abs=0)
+        assert dk == pytest.approx(_pair_distance(space, a, b), rel=1e-15,
+                                   abs=0)
+    assert np.array_equal(spaces.pair_dist2(space, A[:0], B[:0]), [])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        spaces.pair_dist2(space, A, B[:-1])
+
+
+def test_pair_dist2_rejects_a_matrix_that_is_not_positive_definite():
+    space = spd_space(2, "affine")
+    A = np.stack([np.eye(2), np.eye(2)])
+    B = np.stack([np.eye(2), -np.eye(2)])
+    with pytest.raises(ValueError, match="not positive definite"):
+        spaces.pair_dist2(space, A, B)
+    with pytest.raises(ValueError, match="not positive definite"):
+        spaces.pair_dist2(space, B, A)
