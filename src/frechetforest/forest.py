@@ -99,10 +99,13 @@ def fit_forest(X: np.ndarray, Y: np.ndarray, space: MetricSpace,
 
 def leaf_weights(tree: FrechetTree, leaf: np.ndarray) -> tuple:
     """``(indices, values)``: the nonzero entries of the leaf's weight
-    vector ``bincount(leaf) / len(leaf)``, kept in ``tree.leaf_weights``."""
+    vector ``bincount(leaf) / len(leaf)``, kept in ``tree.leaf_weights``.
+    Raises ``ValueError`` for an empty leaf, which has no such vector."""
     key = leaf.tobytes()
     vec = tree.leaf_weights.get(key)
     if vec is None:
+        if not len(leaf):
+            raise ValueError("a leaf holds no training sample")
         counts = np.bincount(leaf)
         idx = np.flatnonzero(counts)
         vec = tree.leaf_weights[key] = (idx, counts[idx] / len(leaf))

@@ -77,29 +77,59 @@ def local_linear_weights(X: np.ndarray, x: np.ndarray,
 
     Solves the weighted local-linear normal equations; the first row gives
     weights with sum(t) = 1 and sum(t * (X_i - x)) = 0.  A trace-scaled
-    ridge is added only if the design is numerically singular.
+    ridge is added only if the design is numerically singular.  The
+    one-row case of :func:`_local_linear_rows`.
+    """
+    x = np.asarray(x, dtype=float)
+    return next(_local_linear_rows(X, x[None],
+                                   np.asarray(alpha, dtype=float)[None]))
+
+
+def _local_linear_rows(X: np.ndarray, X_query: np.ndarray, A: np.ndarray):
+    """``local_linear_weights(X, x, a)`` for each query row ``x`` and weight
+    row ``a`` of ``A``, in order.  A row whose total weight is not positive
+    or whose ridged design is still singular raises ``ValueError`` in its
+    turn, after the rows before it.
+
+    A block of rows shares one stacked solve: per row, the same products
+    and LAPACK calls as a block of one.  If the block's solve raises, its
+    rows are solved one by one; a row whose solve raises or is not finite
+    is solved again with the ridge.  Blocks of about
+    ``spaces._BLOCK_ENTRIES`` design entries bound the working arrays.
     """
     X = np.asarray(X, dtype=float)
-    x = np.asarray(x, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.sum() <= 0:
-        raise ValueError("total kernel weight must be positive")
-    d = X - x
-    design = np.concatenate([np.ones((len(X), 1)), d], axis=1)
-    M = design.T @ (alpha[:, None] * design)
-    e1 = np.zeros(M.shape[0])
-    e1[0] = 1.0
-    try:
-        v = np.linalg.solve(M, e1)
-        if not np.all(np.isfinite(v)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        lam = _RIDGE * max(np.trace(M) / M.shape[0], 1.0)
+    n, q = X.shape[0], X.shape[1] + 1
+    rows = max(1, spaces._BLOCK_ENTRIES // (n * q))
+    for s in range(0, len(A), rows):
+        Xb, Ab = X_query[s:s + rows], A[s:s + rows]
+        design = np.ones((len(Xb), n, q))
+        np.subtract(X, Xb[:, None], out=design[:, :, 1:])
+        M = design.transpose(0, 2, 1) @ (Ab[:, :, None] * design)
+        e1 = np.zeros((len(Xb), q, 1))
+        e1[:, 0] = 1.0
         try:
-            v = np.linalg.solve(M + lam * np.eye(M.shape[0]), e1)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("local design is singular") from exc
-    return alpha * (design @ v)
+            V = np.linalg.solve(M, e1)
+        except np.linalg.LinAlgError:
+            V = np.full_like(e1, np.nan)
+            for k in range(len(Xb)):
+                try:
+                    V[k] = np.linalg.solve(M[k], e1[k])
+                except np.linalg.LinAlgError:
+                    pass
+        singular = {}
+        for k in np.flatnonzero(~np.isfinite(V).all(axis=(1, 2))):
+            lam = _RIDGE * max(np.trace(M[k]) / q, 1.0)
+            try:
+                V[k] = np.linalg.solve(M[k] + lam * np.eye(q), e1[k])
+            except np.linalg.LinAlgError as exc:
+                singular[k] = exc
+        T = Ab * (design @ V)[:, :, 0]
+        for k, (a, t) in enumerate(zip(Ab, T)):
+            if a.sum() <= 0:
+                raise ValueError("total kernel weight must be positive")
+            if k in singular:
+                raise ValueError("local design is singular") from singular[k]
+            yield t
 
 
 def predict_rfwllfr(model: ForestModel, x: np.ndarray,
@@ -130,48 +160,20 @@ _FOREST_PREDICTORS = {"rfwlcfr": predict_rfwlcfr,
 def predict_forest_batch(model: ForestModel, X_query: np.ndarray,
                          kind: str) -> np.ndarray:
     """``predict_<kind>`` at every row of ``X_query``: the scoring pass of
-    :func:`predict_batches` with one forest kind."""
+    :func:`predict_batches` with one forest kind, raising what it raised."""
     if kind not in _FOREST_PREDICTORS:
         raise ValueError(f"unknown forest estimator {kind!r}")
-    return predict_batch(kind, model, X_query)
-
-
-def _local_linear_rows(X: np.ndarray, X_query: np.ndarray, A: np.ndarray):
-    """``local_linear_weights(X, x, a)`` for each query row ``x`` and weight
-    row ``a`` of ``A``, bit for bit, in order.
-
-    A block of rows shares one stacked solve: the same products and LAPACK
-    calls, per row, as the single form.  A row the stacked solve cannot
-    give (a singular design raises or yields non-finite values) and a row
-    whose total is not positive take the single form, with its ridge and
-    its errors.  Blocks of about ``spaces._BLOCK_ENTRIES`` design entries
-    bound the working arrays.
-    """
-    n, q = X.shape[0], X.shape[1] + 1
-    rows = max(1, spaces._BLOCK_ENTRIES // (n * q))
-    for s in range(0, len(A), rows):
-        Xb, Ab = X_query[s:s + rows], A[s:s + rows]
-        design = np.ones((len(Xb), n, q))
-        np.subtract(X, Xb[:, None], out=design[:, :, 1:])
-        M = design.transpose(0, 2, 1) @ (Ab[:, :, None] * design)
-        e1 = np.zeros((len(Xb), q, 1))
-        e1[:, 0] = 1.0
-        try:
-            V = np.linalg.solve(M, e1)
-        except np.linalg.LinAlgError:
-            V = np.full_like(e1, np.nan)
-        solved = np.isfinite(V).all(axis=(1, 2))
-        V[~solved] = 0.0
-        T = Ab * (design @ V)[:, :, 0]
-        for x, a, t, ok in zip(Xb, Ab, T, solved):
-            yield t if ok and a.sum() > 0 else local_linear_weights(X, x, a)
+    out = predict_batches((kind,), model, X_query)[kind]
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def _query_weights(kind: str, fitted, x: np.ndarray) -> np.ndarray:
     """The weights ``kind`` averages at ``x``, from a :func:`fit_cell` state.
 
     The one rule per kind, shared by ``predict_<kind>`` and
-    :func:`predict_batch`; ``frf`` averages leaf means instead.
+    :func:`predict_batches`; ``frf`` averages leaf means instead.
     """
     if kind == "rfwlcfr":
         return kernel_weights(fitted, x)
@@ -254,12 +256,24 @@ def _check_bandwidth(h) -> float:
     return h
 
 
+def _kernel_products(X: np.ndarray, X_query: np.ndarray,
+                     bandwidth: float) -> np.ndarray:
+    """Unnormalized Epanechnikov product kernel K_h(X_i - x), (queries x
+    samples), multiplied feature by feature in the order ``np.prod`` takes
+    a row.  A sample on the kernel's edge, ``|u| = 1``, gets 0."""
+    h = _check_bandwidth(bandwidth)
+    X = np.asarray(X, dtype=float)
+    w = np.ones((len(X_query), len(X)))
+    for j in range(X.shape[1]):
+        u = (X[:, j] - X_query[:, j, None]) / h
+        w *= np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+    return w
+
+
 def product_kernel_weights(X: np.ndarray, x: np.ndarray,
                            bandwidth: float) -> np.ndarray:
     """Normalized Epanechnikov product-kernel weights K_h(X_i - x)."""
-    _check_bandwidth(bandwidth)
-    u = (np.asarray(X, dtype=float) - np.asarray(x, dtype=float)) / bandwidth
-    w = np.prod(np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0), axis=1)
+    w = _kernel_products(X, np.asarray(x, dtype=float)[None], bandwidth)[0]
     total = w.sum()
     if total <= 0:
         raise ValueError("no kernel mass at the query point; "
@@ -269,23 +283,10 @@ def product_kernel_weights(X: np.ndarray, x: np.ndarray,
 
 def has_kernel_mass(X: np.ndarray, X_query: np.ndarray,
                     bandwidth: float) -> np.ndarray:
-    """Whether each row of ``X_query`` gets kernel mass, that is whether
-    :func:`product_kernel_weights` at it does not raise.
-
-    A query has mass where some sample's product of factors is positive,
-    the product taken feature by feature, in the order ``np.prod`` takes
-    it, so that an underflow decides as it does there.  A sample on the
-    kernel's edge, ``|u| = 1``, gets weight 0.  The working arrays are
-    (queries x samples), one feature at a time.
-    """
-    h = _check_bandwidth(bandwidth)
-    X = np.asarray(X, dtype=float)
+    """Whether :func:`product_kernel_weights` at each row of ``X_query``
+    does not raise: the total of its kernel row is not <= 0."""
     X_query = np.asarray(X_query, dtype=float)
-    w = np.ones((len(X_query), len(X)))
-    for j in range(X.shape[1]):
-        u = (X[:, j] - X_query[:, j, None]) / h
-        w *= np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
-    return (w > 0).any(axis=1)
+    return ~(_kernel_products(X, X_query, bandwidth).sum(axis=1) <= 0)
 
 
 def predict_nw(X: np.ndarray, Y: np.ndarray, space: MetricSpace,
@@ -328,7 +329,7 @@ def scalar_local_linear_weights(X1: np.ndarray, x: float,
 
 def fit_cell(kind: str, X: np.ndarray, Y: np.ndarray, space: MetricSpace,
              cell: dict, num_trees: int, base_tree: TreeConfig, seed: int):
-    """Fitted state of ``kind`` on one grid cell, for :func:`predict_batch`.
+    """Fitted state of ``kind`` on one grid cell, for :func:`predict_batches`.
 
     One forest (master seed ``seed``) serves every forest kind; ``gfr``
     ignores the cell; a kernel kind keeps the data and the cell's bandwidth.
@@ -380,15 +381,6 @@ def predict_batches(kinds, fitted, X_query: np.ndarray) -> dict:
             out[kind] = _batch_means(space, Y, rows)
         except (ValueError, np.linalg.LinAlgError) as exc:
             out[kind] = exc
-    return out
-
-
-def predict_batch(kind: str, fitted, X_query: np.ndarray) -> np.ndarray:
-    """Predictions of ``kind`` from a :func:`fit_cell` state, one per row:
-    :func:`predict_batches` with one kind, raising what it raised."""
-    out = predict_batches((kind,), fitted, X_query)[kind]
-    if isinstance(out, Exception):
-        raise out
     return out
 
 

@@ -340,26 +340,31 @@ def run_once(setting: SimSetting, estimators, cfg: MonteCarloConfig,
                         errors[k][ci] = math.inf
         for k in kinds:
             best[k] = regressors.best_cell(grid, errors[k])
-    out, fitted, preds = {}, {}, {}
-    # the forest kinds share one final forest per chosen cell, scored for
-    # all of them at once; the forests draw the same bootstraps, so they
-    # share their node sums
+    # the forest kinds share one final forest per chosen cell; the forests
+    # draw the same bootstraps, so they share their node sums
+    cells = {tuple(best[k].items()): best[k]
+             for k in estimators if k in FOREST_KINDS}
     with shared_node_sums():
-        for k in estimators:
-            cell = best.get(k, {})
-            key = tuple(cell.items()) if k in FOREST_KINDS else k
-            if key not in fitted:
-                fitted[key] = regressors.fit_cell(
-                    k, train.X, train.Y, train.space, cell, cfg.num_trees,
-                    base, seed * 7 + run_index)
-            if k not in preds:
-                kinds = ([e for e in estimators if e in FOREST_KINDS
-                          and best[e] == cell] if k in FOREST_KINDS else [k])
-                preds.update(regressors.predict_batches(kinds, fitted[key],
-                                                        test.X))
-            if isinstance(preds[k], Exception):
-                raise preds[k]
-            out[k] = evaluate_mse(preds[k], test.truth, train.space)
+        fitted = {key: regressors.fit_cell(
+            FOREST_KINDS[0], train.X, train.Y, train.space, cell,
+            cfg.num_trees, base, seed * 7 + run_index)
+            for key, cell in cells.items()}
+    out, preds = {}, {}
+    for k in estimators:
+        cell = best.get(k, {})
+        key = tuple(cell.items()) if k in FOREST_KINDS else k
+        if key not in fitted:
+            fitted[key] = regressors.fit_cell(
+                k, train.X, train.Y, train.space, cell, cfg.num_trees,
+                base, seed * 7 + run_index)
+        if k not in preds:  # one scoring pass for a forest's kinds
+            kinds = ([e for e in estimators if e in FOREST_KINDS
+                      and best[e] == cell] if k in FOREST_KINDS else [k])
+            preds.update(regressors.predict_batches(kinds, fitted[key],
+                                                    test.X))
+        if isinstance(preds[k], Exception):
+            raise preds[k]
+        out[k] = evaluate_mse(preds[k], test.truth, train.space)
     return out, failed
 
 

@@ -238,3 +238,27 @@ def test_leaf_weights_are_kept_per_tree_and_not_serialised():
     assert model_to_dict(model) == doc
     field = {f.name: f for f in dataclasses.fields(FrechetTree)}
     assert not field["leaf_weights"].compare
+
+
+def test_an_empty_leaf_fails_every_forest_kind():
+    # a loaded document may hold a leaf with no index; the dense form's
+    # 0 / 0 made alpha non-finite, so no forest kind may predict from it
+    from frechetforest import regressors
+    rng = np.random.default_rng(23)
+    X = rng.uniform(size=(30, 2))
+    Y = scalar_data(X[:, 0] + 0.1 * rng.normal(size=30))
+    doc = model_to_dict(fit_forest(X, Y, SCALAR, ForestConfig(
+        num_trees=3, tree=TreeConfig(max_depth=2, min_leaf=3))))
+    node = doc["trees"][1]["root"]
+    while "rule" in node:
+        node = node["left"]
+    node["leaf"] = []
+    model = model_from_dict(doc)
+    x = np.array([0.0, 0.0])  # routed left in every tree
+    with pytest.raises(ValueError, match="a leaf holds no training sample"):
+        kernel_weights(model, x)
+    for kind in regressors.FOREST_KINDS:
+        with pytest.raises(ValueError):
+            regressors._FOREST_PREDICTORS[kind](model, x)
+    out = regressors.predict_batches(regressors.FOREST_KINDS, model, x[None])
+    assert all(isinstance(e, ValueError) for e in out.values())

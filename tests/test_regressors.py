@@ -358,7 +358,7 @@ def test_predict_batch_equals_per_query_predictions(scenario, metric):
         fitted = (forest if kind in regressors.FOREST_KINDS else
                   regressors.fit_cell(kind, data.X, data.Y, data.space,
                                       {"bandwidth": 0.6}, 3, TreeConfig(), 5))
-        batch = regressors.predict_batch(kind, fitted, Xq)
+        batch = regressors.predict_batches([kind], fitted, Xq)[kind]
         single = np.stack([_per_query(kind, fitted, x) for x in Xq])
         if scenario == "III-2":
             assert np.max(np.abs(batch - single)) <= 1e-6, kind
@@ -378,8 +378,8 @@ def test_predict_batch_raises_the_per_query_message_for_a_bad_row():
         for x in Xq:
             predict_nw(X, Y, sphere_space(3), x, 0.1)
     assert "no kernel mass" in str(single.value)
-    with pytest.raises(ValueError, match=str(single.value)):
-        regressors.predict_batch("nw", fitted, Xq)
+    batch = regressors.predict_batches(["nw"], fitted, Xq)["nw"]
+    assert isinstance(batch, ValueError) and str(batch) == str(single.value)
 
 
 def test_predict_batch_raises_an_earlier_rows_solve_error_first(monkeypatch):
@@ -405,8 +405,10 @@ def test_predict_batch_raises_an_earlier_rows_solve_error_first(monkeypatch):
                 for x in Xq:
                     fn(X, ys, space, x, 0.5)
             assert "total" in str(single.value)
-            with pytest.raises(ValueError, match=str(single.value)):
-                regressors.predict_batch(kind, (X, ys, space, 0.5), Xq)
+            batch = regressors.predict_batches([kind], (X, ys, space, 0.5),
+                                               Xq)[kind]
+            assert isinstance(batch, ValueError)
+            assert str(batch) == str(single.value)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +445,7 @@ def test_predict_batches_share_one_forest_pass_and_fail_alone(monkeypatch):
     Y = scalar_data(X[:, 0] + 0.1 * rng.normal(size=40))
     model = scalar_forest(X, Y[:, 0], seed=4)
     Xq = rng.uniform(size=(6, 2))
-    expected = {k: regressors.predict_batch(k, model, Xq)
+    expected = {k: regressors.predict_forest_batch(model, Xq, k)
                 for k in regressors.FOREST_KINDS}
     passes = []
     original = regressors.forest_weights
@@ -469,6 +471,23 @@ def test_predict_batches_share_one_forest_pass_and_fail_alone(monkeypatch):
         regressors.predict_forest_batch(model, Xq, "rfwllfr")
 
 
+def _single_local_linear_weights(X, x, alpha):
+    # the one-query form: a 2-D design, one solve, the ridge if singular
+    d = X - x
+    design = np.concatenate([np.ones((len(X), 1)), d], axis=1)
+    M = design.T @ (alpha[:, None] * design)
+    e1 = np.zeros(M.shape[0])
+    e1[0] = 1.0
+    try:
+        v = np.linalg.solve(M, e1)
+        if not np.all(np.isfinite(v)):
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        lam = 1e-8 * max(np.trace(M) / M.shape[0], 1.0)
+        v = np.linalg.solve(M + lam * np.eye(M.shape[0]), e1)
+    return alpha * (design @ v)
+
+
 def test_local_linear_rows_equal_the_single_form_bit_for_bit():
     rng = np.random.default_rng(41)
     # the last shape spans two blocks of rows
@@ -482,12 +501,16 @@ def test_local_linear_rows_equal_the_single_form_bit_for_bit():
         rows = list(regressors._local_linear_rows(X, Xq, A))
         assert len(rows) == m
         for t, x, a in zip(rows, Xq, A):
-            assert np.array_equal(t, local_linear_weights(X, x, a))
+            single = _single_local_linear_weights(X, x, a)
+            assert np.array_equal(t, single)
+            assert np.array_equal(local_linear_weights(X, x, a), single)
     A[2] = 0.0
     rows = regressors._local_linear_rows(X, Xq, A)
     next(rows), next(rows)
     with pytest.raises(ValueError, match="total kernel weight must be"):
         next(rows)
+    with pytest.raises(ValueError, match="total kernel weight must be"):
+        local_linear_weights(X, Xq[2], A[2])
 
 
 def test_kernel_mass_screen_decides_as_product_kernel_weights():
@@ -511,3 +534,12 @@ def test_kernel_mass_screen_decides_as_product_kernel_weights():
     assert regressors.has_kernel_mass(X1, np.array([[0.2]]), 0.25)[0]
     with pytest.raises(ValueError, match="no kernel mass"):
         regressors.product_kernel_weights(X1, np.array([0.25]), 0.25)
+    # the weights are np.prod's factor products, bit for bit
+    for p in (1, 3, 5):
+        X = rng.uniform(size=(50, p))
+        x = rng.uniform(size=p)
+        u = (X - x) / 0.6
+        w = np.prod(np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0),
+                    axis=1)
+        assert np.array_equal(regressors.product_kernel_weights(X, x, 0.6),
+                              w / w.sum())
