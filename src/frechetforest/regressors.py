@@ -186,24 +186,6 @@ def _query_weights(kind: str, fitted, x: np.ndarray) -> np.ndarray:
     return w if kind == "nw" else local_linear_weights(X, x, w)
 
 
-def _batch_means(space: MetricSpace, ystack: np.ndarray, rows):
-    """One :func:`spaces.weighted_frechet_means` call over the weight rows.
-
-    A batch raises the error the per-query loop raises first: when a row's
-    weights raise, the rows before it are solved first, as one of them may
-    fail.
-    """
-    W = []
-    try:
-        for w in rows:
-            W.append(w)
-    except Exception:
-        if W:
-            spaces.weighted_frechet_means(space, ystack, np.stack(W))
-        raise
-    return spaces.weighted_frechet_means(space, ystack, np.stack(W))
-
-
 # ---------------------------------------------------------------------------
 # global Frechet regression
 
@@ -364,9 +346,10 @@ def predict_batches(kinds, fitted, X_query: np.ndarray) -> dict:
     out, alpha = {}, None
     for kind in kinds:
         try:
-            if kind == "frf":
-                out[kind] = np.stack([predict_frf(fitted, x)
-                                      for x in X_query])
+            if kind == "frf":  # np.reshape keeps the shape of no rows
+                out[kind] = np.reshape([predict_frf(fitted, x)
+                                        for x in X_query],
+                                       (-1,) + fitted.space.shape)
                 continue
             if kind in FOREST_KINDS:
                 if alpha is None:
@@ -378,7 +361,7 @@ def predict_batches(kinds, fitted, X_query: np.ndarray) -> dict:
                 space, Y = ((fitted.space, fitted.Y) if kind == "gfr"
                             else (fitted[2], fitted[1]))
                 rows = (_query_weights(kind, fitted, x) for x in X_query)
-            out[kind] = _batch_means(space, Y, rows)
+            out[kind] = spaces.weighted_frechet_means(space, Y, rows)
         except (ValueError, np.linalg.LinAlgError) as exc:
             out[kind] = exc
     return out
@@ -441,11 +424,11 @@ def cv_errors(X: np.ndarray, Y: np.ndarray, space: MetricSpace, kinds,
     share their node sums (``tree.shared_node_sums``), and one
     :func:`predict_batches` call scores every kind of a cell and fold.
     """
-    if folds < 2:
-        raise ValueError("need at least 2 folds")
+    n = len(X)
+    if not 2 <= folds <= n:
+        raise ValueError(f"need 2 to {n} folds for {n} samples, got {folds}")
     if kinds[0] in FOREST_KINDS:
         ForestConfig(num_trees=num_trees)  # its checks, before any fit
-    n = len(X)
     errors = {k: np.empty((len(grid), folds)) for k in kinds}
 
     def score_inf(ci, f, failed_kinds, exc):
@@ -455,7 +438,9 @@ def cv_errors(X: np.ndarray, Y: np.ndarray, space: MetricSpace, kinds,
                 failures.append((ci, f, k, str(exc)))
 
     for f, test_idx in enumerate(_kfold_indices(n, folds, seed)):
-        train_idx = np.setdiff1d(np.arange(n), test_idx)
+        train = np.ones(n, dtype=bool)  # np.setdiff1d would load numpy.ma
+        train[test_idx] = False
+        train_idx = np.flatnonzero(train)
         Xtr, Ytr, Xte = X[train_idx], Y[train_idx], X[test_idx]
         with shared_node_sums():
             for ci, cell in enumerate(grid):

@@ -385,6 +385,9 @@ def monte_carlo(setting: SimSetting, estimators, cfg: MonteCarloConfig,
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    if cfg.folds > setting.n:  # cv_errors' check, before any run
+        raise ValueError(f"need 2 to {setting.n} folds for {setting.n} "
+                         f"samples, got {cfg.folds}")
     estimators = list(estimators)
     tasks = [(setting, estimators, cfg, seed, r) for r in range(cfg.runs)]
     if n_jobs > 1 and cfg.runs > 1:

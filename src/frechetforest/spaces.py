@@ -13,6 +13,8 @@ The first two spaces admit a global Euclidean embedding in which the metric
 is the ordinary Euclidean distance, so weighted means reduce to weighted
 averages in the embedding.  The sphere and the affine-invariant geometry are
 genuinely curved and use an iterative Riemannian descent solver.
+Both supply only a gradient and candidates to one step-halving policy,
+``_descend`` for one solve and ``_descend_rows`` for many rows.
 ``weighted_frechet_means`` solves many weight rows over one stack; on the
 sphere it runs one vectorised descent, which agrees with the single-problem
 ``weighted_frechet_mean`` within 1e-6.
@@ -295,22 +297,19 @@ def pair_dist2(space: MetricSpace, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def dist2_to_point(space: MetricSpace, ystack: np.ndarray,
                    y: np.ndarray) -> np.ndarray:
-    """Squared distances from every stacked object to ``y``."""
+    """Squared distances from every stacked object to ``y``; the curved
+    spaces keep forms of their own, which split sums match bit for bit."""
     y = np.asarray(y, dtype=float)
-    if space.kind == WASSERSTEIN:
-        return 1.0 / space.dim * np.sum((ystack - y) ** 2, axis=1)
     if space.kind == SPHERE:
         # not the arctan2 form: last bits of split sums decide mirrored ties
         return np.arccos(np.minimum(np.maximum(ystack @ y, -1.0), 1.0)) ** 2
-    if space.kind == SPD_LOGCHOLESKY:
-        e = embed(space, ystack)
-        ey = embed(space, y[None])[0]
-        return np.sum((e - ey) ** 2, axis=1)
-    _, isq = _sqrt_and_invsqrt(y)
-    mids = np.einsum("ij,njk,kl->nil", isq, ystack, isq)
-    mids = (mids + np.swapaxes(mids, 1, 2)) / 2.0
-    vals = np.linalg.eigvalsh(mids)
-    return np.sum(np.log(np.maximum(vals, 1e-300)) ** 2, axis=1)
+    if space.kind == SPD_AFFINE:  # the form _affine_sqrt_dist2_rows matches
+        _, isq = _sqrt_and_invsqrt(y)
+        mids = np.einsum("ij,njk,kl->nil", isq, ystack, isq)
+        mids = (mids + np.swapaxes(mids, 1, 2)) / 2.0
+        vals = np.linalg.eigvalsh(mids)
+        return np.sum(np.log(np.maximum(vals, 1e-300)) ** 2, axis=1)
+    return pair_dist2(space, ystack, np.broadcast_to(y, np.shape(ystack)))
 
 
 # ---------------------------------------------------------------------------
@@ -451,26 +450,33 @@ def sum_sq_to_means(space: MetricSpace, ystack: np.ndarray, sets) -> list:
 
 
 def weighted_frechet_means(space: MetricSpace, ystack: np.ndarray,
-                           W: np.ndarray) -> np.ndarray:
-    """The weighted Frechet means over ``ystack`` of every row of ``W``.
+                           rows) -> np.ndarray:
+    """The weighted Frechet means over ``ystack`` of every weight row.
 
-    ``W`` is K x n, one weight row per problem over the same n objects.
-    Each row is the problem of :func:`weighted_frechet_mean`, with its
-    checks and error messages.  On the sphere one vectorised descent solves
-    all rows: ``_descend``'s policy with a step per row, from
-    ``_sphere_start``'s start, a row frozen once it has converged.  It
-    agrees with the single solve to rounding, and a row's result does not
-    depend on the other rows of the batch.  Other spaces solve row by row
-    with :func:`weighted_frechet_mean`.  K = 0 gives an empty array.
+    ``rows`` yields one weight row per problem over the same n objects, in
+    query order (a K x n array will do).  Each row is the problem of
+    :func:`weighted_frechet_mean`, with its checks and messages, and the
+    first failing row's error is raised, as query by query: the rows
+    before a row whose production raises are solved first.  On the sphere
+    one vectorised descent (:func:`_sphere_solve_rows`) solves all rows;
+    it agrees with the single solve to rounding, and a row's result does
+    not depend on the other rows.  Other spaces solve row by row with
+    :func:`weighted_frechet_mean`.  No rows give an empty array.
     """
     ystack = np.asarray(ystack, dtype=float)
+    W = []
+    try:
+        for w in rows:
+            W.append(w)
+    except Exception:
+        weighted_frechet_means(space, ystack, W)  # may fail first
+        raise
+    if space.kind != SPHERE or not W:  # np.reshape keeps the shape of none
+        return np.reshape([weighted_frechet_mean(space, ystack, w)
+                           for w in W], (-1,) + space.shape)
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[1] != len(ystack):
         raise ValueError("weights and objects have different lengths")
-    if not len(W):
-        return np.empty((0,) + space.shape)
-    if space.kind != SPHERE:
-        return np.stack([weighted_frechet_mean(space, ystack, w) for w in W])
     totals = W.sum(axis=1)
     finite = np.isfinite(totals) & np.isfinite(ystack.sum())
     ok = finite & (totals > 0)
@@ -479,10 +485,9 @@ def weighted_frechet_means(space: MetricSpace, ystack: np.ndarray,
         raise ValueError("weights and objects must be finite" if not finite[k]
                          else "total weight must be positive")
     # blocks of rows bound the (rows, n) working arrays of the descent
-    rows = max(1, _BLOCK_ENTRIES // len(ystack))
-    return np.concatenate([
-        _sphere_solve_rows(ystack, W[s:s + rows] / totals[s:s + rows, None])[0]
-        for s in range(0, len(W), rows)])
+    block, wn = max(1, _BLOCK_ENTRIES // len(ystack)), W / totals[:, None]
+    return np.concatenate([_sphere_solve_rows(ystack, wn[s:s + block])[0]
+                           for s in range(0, len(W), block)])
 
 
 _BLOCK_ENTRIES = 4096
@@ -504,8 +509,7 @@ def _descend(gradient, line, state, cur: float):
     starts from twice the accepted step, capped at 1.  It also stops when
     an accepted step improves by less than ``_OBJ_TOL``, and unconverged
     after ``_MAX_ITER`` iterations.  Returns the final state and the solver
-    info.  ``_sphere_solve_rows`` and ``_affine_sqrt_dist2_rows`` apply the
-    same policy to many rows.
+    info.  :func:`_descend_rows` is this policy for many rows at once.
     """
     step = 1.0
     converged = False
@@ -531,6 +535,44 @@ def _descend(gradient, line, state, cur: float):
             converged = True
             break
     return state, {"converged": converged, "iterations": it, "objective": cur}
+
+
+def _descend_rows(cur: np.ndarray, gradient, line):
+    """:func:`_descend`'s policy for many rows, each with its own step.
+
+    ``cur``, every row's start objective, is updated in place.  The
+    geometry keeps the states: ``gradient(rows)`` stacks the gradients of
+    ``rows``, and ``line(rows, steps, v)`` returns their candidate
+    objectives at ``steps`` along ``-v`` and ``keep(moved)``, which moves
+    ``rows[moved]`` to their candidates.  Row sums and elementwise steps
+    keep a row's arithmetic free of the other rows.  Returns the per-row
+    arrays ``converged`` and ``iterations``.
+    """
+    step, converged = np.ones(len(cur)), np.zeros(len(cur), dtype=bool)
+    iterations = np.zeros(len(cur), dtype=int)
+    for it in range(1, _MAX_ITER + 1):
+        rows = np.flatnonzero(~converged)
+        if not rows.size:
+            break
+        iterations[rows] = it
+        v = gradient(rows)
+        vv = (v * v).reshape(len(v), -1)
+        flat = np.sqrt(np.add.reduce(vv, axis=1)) < _GRAD_TOL
+        converged[rows[flat]] = True
+        rows, v = rows[~flat], v[~flat]
+        while rows.size:
+            obj, keep = line(rows, step[rows], v)
+            down = obj < cur[rows]
+            moved = rows[down]
+            converged[moved[cur[moved] - obj[down] < _OBJ_TOL]] = True
+            cur[moved] = obj[down]
+            keep(down)
+            step[moved] = np.minimum(1.0, 2.0 * step[moved])
+            step[rows[~down]] *= 0.5
+            go = ~down & (step[rows] >= _STEP_FLOOR)
+            converged[rows[~down & ~go]] = True
+            rows, v = rows[go], v[go]
+    return converged, iterations
 
 
 # --- sphere
@@ -579,14 +621,13 @@ def _sphere_solve(ystack: np.ndarray, wn: np.ndarray, y: np.ndarray):
 def _sphere_solve_rows(ystack: np.ndarray, wn: np.ndarray):
     """``_sphere_solve`` from ``_sphere_start`` for every row of ``wn``.
 
-    Each row keeps its own iterate, angles, objective and step; an
-    iteration works on the rows that have not converged.  Only elementwise
-    products and row sums are used, never a matrix product, so no
-    (K, n, d) array is built and a row's arithmetic does not depend on the
-    other rows.  The gradient ``sum_i c_i (Y_i - dots_i p)`` uses ``c_i =
-    wn_i theta_i / sin(theta_i)`` (0 where the sine is below 1e-15, as
-    ``_sphere_logs`` treats a vanishing projection).  Returns the means and
-    the per-row arrays ``converged``, ``iterations`` and ``objective``.
+    Under :func:`_descend_rows`, with elementwise products and row sums,
+    never a matrix product, so no (K, n, d) array is built and a row's
+    arithmetic does not depend on the other rows.  The gradient ``sum_i
+    c_i (Y_i - dots_i p)`` uses ``c_i = wn_i theta_i / sin(theta_i)`` (0
+    where the sine is below 1e-15, as ``_sphere_logs`` treats a vanishing
+    projection).  Returns the means and the per-row arrays ``converged``,
+    ``iterations`` and ``objective``.
     """
     d = ystack.shape[1]
 
@@ -600,10 +641,33 @@ def _sphere_solve_rows(ystack: np.ndarray, wn: np.ndarray):
             dots += ystack[:, j] * p[:, j:j + 1]
         dots = np.minimum(np.maximum(dots, -1.0), 1.0)
         theta = np.arccos(dots)
-        return np.add.reduce(wn[rows] * theta ** 2, axis=1), dots, theta
+        return np.add.reduce(wn[rows] * theta ** 2, axis=1), (p, dots, theta)
 
     def row_norms(v):
         return np.sqrt(np.add.reduce(v * v, axis=1))
+
+    def gradient(a):
+        sin = np.sin(theta[a])
+        c = wn[a] * np.divide(theta[a], sin, out=np.zeros_like(sin),
+                              where=sin > 1e-15)
+        v = combine(c) - np.add.reduce(c * dots[a], axis=1)[:, None] * p[a]
+        v -= np.add.reduce(v * p[a], axis=1)[:, None] * p[a]
+        return v
+
+    def line(a, steps, v):
+        t = steps[:, None] * v
+        tn = row_norms(t)
+        moves = tn >= 1e-15
+        cand = (np.cos(tn)[:, None] * p[a] + np.sin(tn)[:, None] * t
+                / np.where(moves, tn, 1.0)[:, None])
+        cand /= row_norms(cand)[:, None]
+        cand[~moves] = p[a[~moves]]
+        obj, state = evaluate(cand, a)
+
+        def keep(moved):
+            for old, new in zip((p, dots, theta), state):
+                old[a[moved]] = new[moved]
+        return obj, keep
 
     extrinsic = combine(wn)
     norm = row_norms(extrinsic)
@@ -612,43 +676,8 @@ def _sphere_solve_rows(ystack: np.ndarray, wn: np.ndarray):
     if far.any():
         top = np.argmax(wn[far], axis=1)
         p[far] = ystack[top]
-    cur, dots, theta = evaluate(p, slice(None))
-    step = np.ones(len(wn))
-    converged = np.zeros(len(wn), dtype=bool)
-    iterations = np.zeros(len(wn), dtype=int)
-    for it in range(1, _MAX_ITER + 1):
-        a = np.flatnonzero(~converged)
-        if not a.size:
-            break
-        iterations[a] = it
-        sin = np.sin(theta[a])
-        c = wn[a] * np.divide(theta[a], sin, out=np.zeros_like(sin),
-                              where=sin > 1e-15)
-        v = combine(c) - np.add.reduce(c * dots[a], axis=1)[:, None] * p[a]
-        v -= np.add.reduce(v * p[a], axis=1)[:, None] * p[a]
-        flat = row_norms(v) < _GRAD_TOL
-        converged[a[flat]] = True
-        a, v = a[~flat], v[~flat]
-        while a.size:  # step halving, the rows that have not moved yet
-            t = step[a, None] * v
-            tn = row_norms(t)
-            moves = tn >= 1e-15
-            cand = (np.cos(tn)[:, None] * p[a] + np.sin(tn)[:, None] * t
-                    / np.where(moves, tn, 1.0)[:, None])
-            cand /= row_norms(cand)[:, None]
-            cand[~moves] = p[a[~moves]]
-            obj, cand_dots, cand_theta = evaluate(cand, a)
-            down = obj < cur[a]
-            r = a[down]
-            converged[r[cur[r] - obj[down] < _OBJ_TOL]] = True
-            p[r], dots[r], theta[r], cur[r] = (cand[down], cand_dots[down],
-                                               cand_theta[down], obj[down])
-            step[r] = np.minimum(1.0, 2.0 * step[r])
-            a, v = a[~down], v[~down]
-            step[a] *= 0.5
-            floor = step[a] < _STEP_FLOOR
-            converged[a[floor]] = True
-            a, v = a[~floor], v[~floor]
+    cur, (p, dots, theta) = evaluate(p, slice(None))
+    converged, iterations = _descend_rows(cur, gradient, line)
     return p, converged, iterations, cur
 
 
@@ -715,17 +744,17 @@ def _affine_solve(ystack: np.ndarray, wn: np.ndarray, y: np.ndarray):
 def _affine_sqrt_dist2_rows(ystacks, wns, starts) -> list:
     """Unsigned affine descents in square-root form, as in earlier versions:
     row ``r`` descends over ``ystacks[r]`` with weights ``wns[r]`` from
-    ``starts[r]`` under ``_descend``'s policy, moving to ``y^1/2 exp(t V)
+    ``starts[r]`` under :func:`_descend_rows`, moving to ``y^1/2 exp(t V)
     y^1/2`` with ``V`` the gradient whitened by ``y^-1/2``, and gives
     ``(dist2, mean)``: the squared distances to its final iterate, bit for
     bit those of ``dist2_to_point``, and that iterate.  All rows share each
     ``eigh``, which LAPACK runs per matrix; whitening and log rebuild sum
-    in ``einsum``'s order; weighted sums and norms run per row.  So a row's
-    bits do not depend on the others."""
+    in ``einsum``'s order; weighted sums run per row.  So a row's bits do
+    not depend on the others."""
     sizes = np.array([len(ys) for ys in ystacks])
     Y, rid = np.concatenate(ystacks), np.repeat(np.arange(len(sizes)), sizes)
     m = Y.shape[1]
-    cur, (P, SQ) = np.empty(len(sizes)), np.empty((2, len(sizes), m, m))
+    P, SQ = np.empty((2, len(sizes), m, m))
     mids_all, dist2_all = np.empty_like(Y), np.empty(len(Y))
 
     def objects(rows):  # their objects, each one's row, each row's slice
@@ -755,39 +784,29 @@ def _affine_sqrt_dist2_rows(ystacks, wns, starts) -> list:
 
         def keep(kept):
             r, o = rows[kept], kept[loc]
-            cur[r], P[r], SQ[r] = obj[kept], p[kept], ((vecs * s) @ vt)[kept]
+            P[r], SQ[r] = p[kept], ((vecs * s) @ vt)[kept]
             mids_all[sel[o]], dist2_all[sel[o]] = mids[o], dist2[o]
         return obj, keep
 
-    step, live = np.ones(len(sizes)), np.ones(len(sizes), dtype=bool)
-    evaluate(np.arange(len(sizes)), np.stack(starts))[1](live.copy())
-    for _ in range(_MAX_ITER):
-        rows = np.flatnonzero(live)
-        if not rows.size:
-            break
+    def gradient(rows):
         sel, _, spans = objects(rows)
         vals, vecs = np.linalg.eigh(mids_all[sel])
         lv, logs = np.log(vals), np.zeros_like(vecs)
         for j in range(m):  # einsum("...ij,...j,...kj->...ik"), its order
             logs += vecs[:, :, j, None] * lv[:, j, None, None] \
                 * vecs[:, None, :, j]
-        v = np.stack([np.einsum("n,nij->ij", wns[r], logs[sl])
-                      for r, sl in spans])
-        flat = np.array([_norm(g.ravel(order="K")) < _GRAD_TOL for g in v])
-        live[rows[flat]] = False
-        rows, sym = rows[~flat], (v + np.swapaxes(v, 1, 2))[~flat]
-        while rows.size:  # step halving, the rows that have not moved yet
-            vals, vecs = np.linalg.eigh(step[rows, None, None] * sym / 2.0)
-            cand = (SQ[rows] @ ((vecs * np.exp(vals)[:, None, :])
-                                @ np.swapaxes(vecs, 1, 2)) @ SQ[rows])
-            obj, keep = evaluate(rows, (cand + np.swapaxes(cand, 1, 2)) / 2.0)
-            down = obj < cur[rows]
-            moved = rows[down]
-            live[moved[cur[moved] - obj[down] < _OBJ_TOL]] = False
-            keep(down)
-            step[moved] = np.minimum(1.0, 2.0 * step[moved])
-            step[rows[~down]] *= 0.5
-            go = ~down & (step[rows] >= _STEP_FLOOR)
-            live[rows[~down & ~go]] = False
-            rows, sym = rows[go], sym[go]
-    return [(dist2_all[sl], P[r]) for r, sl in objects(np.arange(len(P)))[2]]
+        return np.stack([np.einsum("n,nij->ij", wns[r], logs[sl])
+                         for r, sl in spans])
+
+    def line(rows, steps, v):
+        sym = v + np.swapaxes(v, 1, 2)
+        vals, vecs = np.linalg.eigh(steps[:, None, None] * sym / 2.0)
+        cand = (SQ[rows] @ ((vecs * np.exp(vals)[:, None, :])
+                            @ np.swapaxes(vecs, 1, 2)) @ SQ[rows])
+        return evaluate(rows, (cand + np.swapaxes(cand, 1, 2)) / 2.0)
+
+    everyone = np.arange(len(sizes))
+    cur, keep = evaluate(everyone, np.stack(starts))
+    keep(np.ones(len(sizes), dtype=bool))
+    _descend_rows(cur, gradient, line)
+    return [(dist2_all[sl], P[r]) for r, sl in objects(everyone)[2]]

@@ -221,6 +221,23 @@ def test_tune_exits_1_when_no_cell_scores(tmp_path, capsys):
     assert not (tmp_path / "cv_best.json").exists()
 
 
+def test_tune_rejects_more_folds_than_rows(tmp_path, capsys):
+    out = tmp_path / "data"
+    cli.main(["simulate", "--scenario", "I-1", "--p", "2", "--n", "12",
+              "--seed", "6", "--out-dir", str(out)])
+    capsys.readouterr()
+    rc = cli.main(["tune", "--estimator", "nw", "--space", "wasserstein",
+                   "--dim", "21", "--x", str(out / "X.csv"),
+                   "--y", str(out / "Y.csv"), "--seed", "2",
+                   "--folds", "20", "--out", str(tmp_path / "cv.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["command"] == "tune"
+    assert "need 2 to 12 folds for 12 samples" in json.loads(err[0])["error"]
+    assert sorted(os.listdir(tmp_path)) == ["data"]
+
+
 def test_bench_table_byte_identical(tmp_path):
     args = ["bench-table", "--scenario", "I-1", "--p", "2", "--n", "30",
             "--runs", "1", "--estimators", "gfr", "--seed", "8",
@@ -295,6 +312,20 @@ def test_bench_table_rejects_a_repeated_estimator(tmp_path, capsys):
     assert err["command"] == "bench-table"
     assert err["estimator"] == "gfr"
     assert "more than once" in err["error"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_table_rejects_more_folds_than_rows(tmp_path, capsys,
+                                                 monkeypatch):
+    # every fold's CV cell scored infinity, and the first cell was used
+    monkeypatch.setattr(simulate, "run_once", None)  # no run may start
+    rc = cli.main(["bench-table", "--scenario", "I-1", "--p", "2", "--n",
+                   "12", "--runs", "1", "--estimators", "nw", "--seed",
+                   "8", "--folds", "20", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["command"] == "bench-table"
+    assert "need 2 to 12 folds for 12 samples" in err["error"]
     assert not (tmp_path / "out").exists()
 
 

@@ -1058,6 +1058,63 @@ def test_forest_cv_fits_one_forest_per_cell_and_fold(monkeypatch):
             [float(np.mean(row)) for row in errors[kind]]
 
 
+def _toy_descents():
+    """Rows of ``a (x - c)^2 + b x`` over a scalar ``x``, each descending
+    along ``sign`` times its gradient from ``x0``, and the row that stops
+    by each rule: a vanishing gradient (a start at the minimum), an
+    improvement below ``_OBJ_TOL``, a step below ``_STEP_FLOOR`` (an ascent
+    direction), and ``_MAX_ITER`` (a linear objective, falling by a unit
+    step forever); two more rows stop by improvement."""
+    a = np.array([1.0, 0.3, 1.0, 0.0, 0.7, 2.5])
+    c = np.array([0.5, 0.0, 0.0, 0.0, -1.0, 3.0])
+    b = np.array([0.0, 0.0, 0.0, -1.0, 0.2, 0.0])
+    sign = np.array([1.0, 1.0, -1.0, 1.0, 1.0, 1.0])
+    x0 = np.array([0.5, 1.0, 1.0, 0.0, 2.0, -4.0])
+
+    def objective(rows, x):
+        return a[rows] * (x - c[rows]) ** 2 + b[rows] * x
+
+    def gradient(rows, x):
+        return sign[rows] * (2.0 * a[rows] * (x - c[rows]) + b[rows])
+    return objective, gradient, x0
+
+
+def test_descend_rows_equals_descend_row_by_row():
+    objective, grad, x0 = _toy_descents()
+    x, everyone = x0.copy(), np.arange(len(x0))
+
+    def line(rows, steps, v):
+        cand = x[rows] - steps * v
+
+        def keep(moved):
+            x[rows[moved]] = cand[moved]
+        return objective(rows, cand), keep
+
+    cur = objective(everyone, x0)
+    converged, iterations = spaces._descend_rows(
+        cur, lambda rows: grad(rows, x[rows]), line)
+    for k in everyone:
+        row = np.array([k])
+
+        def line_one(state, v):
+            return lambda step: (objective(row, state - step * v)[0],
+                                 state - step * v)
+        state, info = spaces._descend(lambda state: grad(row, state),
+                                      line_one, x0[row],
+                                      objective(row, x0[row])[0])
+        assert converged[k] == info["converged"]
+        assert iterations[k] == info["iterations"]
+        assert cur[k] == info["objective"]
+        assert x[k] == state[0]
+    # each stop rule ended a row
+    assert grad(everyone, x)[0] == 0.0 and iterations[0] == 1
+    assert 1 < iterations[1] < spaces._MAX_ITER
+    assert abs(grad(everyone, x)[1]) >= spaces._GRAD_TOL
+    assert iterations[2] == 1 and x[2] == x0[2]
+    assert iterations[3] == spaces._MAX_ITER and not converged[3]
+    assert converged[[0, 1, 2, 4, 5]].all()
+
+
 def _sphere_weight_rows(scenario, seed, queries):
     """rfwlcfr, rfwllfr (signed) and gfr (signed) rows on one III stack."""
     from frechetforest import simulate
@@ -1161,6 +1218,29 @@ def test_batched_means_reject_what_the_single_solve_rejects():
             spaces.weighted_frechet_means(space, ys, rows)
     with pytest.raises(ValueError, match="different lengths"):
         spaces.weighted_frechet_means(space, ystack, W[:, :6])
+
+
+@pytest.mark.parametrize("space", [sphere_space(3), wasserstein_space(5)])
+def test_batched_means_take_rows_as_produced(space):
+    # any iterable of rows, in query order; a row whose production raises
+    # fails after the rows before it, whose own error comes first
+    rng = np.random.default_rng(7)
+    ystack = _objects(space, 5, rng)
+    W = rng.uniform(0.1, 1.0, size=(3, 5))
+    means = spaces.weighted_frechet_means(space, ystack, W)
+    assert np.array_equal(
+        spaces.weighted_frechet_means(space, ystack, (w for w in W)), means)
+    assert np.array_equal(
+        spaces.weighted_frechet_means(space, ystack, list(W)), means)
+
+    def rows(first):
+        yield first
+        raise ValueError("weights of a later row")
+
+    with pytest.raises(ValueError, match="later row"):
+        spaces.weighted_frechet_means(space, ystack, rows(W[0]))
+    with pytest.raises(ValueError, match="total weight must be positive"):
+        spaces.weighted_frechet_means(space, ystack, rows(-W[0]))
 
 
 @pytest.mark.parametrize("space", [sphere_space(3), wasserstein_space(5),

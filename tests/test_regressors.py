@@ -278,6 +278,18 @@ def test_tune_cv_keeps_the_text_of_each_failed_fold():
     assert table[1]["failures"] == []
 
 
+def test_cv_rejects_more_folds_than_samples():
+    # an empty test fold failed every cell with a message about stacking
+    rng = np.random.default_rng(16)
+    X = rng.uniform(size=(12, 2))
+    Y = scalar_data(rng.normal(size=12))
+    tune_cv(X, Y, SCALAR, "nw", [{"bandwidth": 0.5}], folds=12, seed=0)
+    for folds in (1, 13, 20):
+        with pytest.raises(ValueError, match=f"need 2 to 12 folds for 12 "
+                                             f"samples, got {folds}"):
+            tune_cv(X, Y, SCALAR, "nw", [{"bandwidth": 0.5}], folds=folds)
+
+
 def test_best_cell_takes_the_first_cell_on_an_exact_tie():
     grid = [{"bandwidth": 0.1}, {"bandwidth": 0.2}, {"bandwidth": 0.4}]
     errors = np.array([[3.0, 1.0], [1.0, 2.0], [2.0, 1.0]])
@@ -409,6 +421,23 @@ def test_predict_batch_raises_an_earlier_rows_solve_error_first(monkeypatch):
                                                Xq)[kind]
             assert isinstance(batch, ValueError)
             assert str(batch) == str(single.value)
+
+
+@pytest.mark.parametrize("scenario", ["I-1", "III-2"])
+def test_predict_batches_of_no_queries_are_empty(scenario):
+    from frechetforest import simulate
+    data = simulate.generate(simulate.SimSetting(scenario, p=2, n=30),
+                             np.random.default_rng(15))
+    forest = regressors.fit_cell("rfwlcfr", data.X, data.Y, data.space,
+                                 {"max_depth": 3, "mtry": 2}, 3,
+                                 TreeConfig(), 5)
+    for kinds, fitted in [
+            (regressors.FOREST_KINDS, forest),
+            (["gfr"], regressors.fit_gfr(data.X, data.Y, data.space)),
+            (["nw"], (data.X, data.Y, data.space, 0.5))]:
+        out = regressors.predict_batches(kinds, fitted, np.empty((0, 2)))
+        for kind in kinds:
+            assert out[kind].shape == (0,) + data.space.shape, kind
 
 
 # ---------------------------------------------------------------------------

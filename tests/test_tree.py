@@ -273,15 +273,17 @@ def test_valid_thresholds_match_the_np_unique_form():
 
 
 def test_exhaustive_fit_does_not_load_numpy_ma():
-    # np.unique imports numpy.ma on its first call
+    # np.unique and np.setdiff1d import numpy.ma on their first call
     src = os.path.dirname(os.path.dirname(os.path.abspath(tree.__file__)))
     code = ("import sys, numpy as np\n"
-            "from frechetforest import forest, simulate\n"
+            "from frechetforest import forest, regressors, simulate\n"
             "from frechetforest.tree import TreeConfig\n"
             "d = simulate.generate(simulate.SimSetting('I-2', n=60),\n"
             "                      np.random.default_rng(3))\n"
             "forest.fit_forest(d.X, d.Y, d.space, forest.ForestConfig(\n"
             "    num_trees=3, tree=TreeConfig(split_method='exhaustive')))\n"
+            "regressors.tune_cv(d.X, d.Y, d.space, 'nw',\n"
+            "                   [{'bandwidth': 0.5}], folds=3)\n"
             "print('numpy.ma' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           env=dict(os.environ, PYTHONPATH=src),
