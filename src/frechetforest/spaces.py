@@ -272,10 +272,11 @@ def distance(space: MetricSpace, a: np.ndarray, b: np.ndarray) -> float:
 
 
 def pair_dist2(space: MetricSpace, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared distances ``d^2(A_k, B_k)`` between the rows of two stacks."""
+    """Squared distances ``d^2(A_k, B_k)`` between the rows of two stacks;
+    a ``B`` of one row is compared with every row of ``A``."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if A.shape != B.shape:
+    if A.shape[1:] != B.shape[1:] or len(B) not in (1, len(A)):
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
     if space.kind == WASSERSTEIN:
         return 1.0 / space.dim * np.sum((A - B) ** 2, axis=1)
@@ -297,8 +298,7 @@ def pair_dist2(space: MetricSpace, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def dist2_to_point(space: MetricSpace, ystack: np.ndarray,
                    y: np.ndarray) -> np.ndarray:
-    """Squared distances from every stacked object to ``y``; the curved
-    spaces keep forms of their own, which split sums match bit for bit."""
+    """Squared distances from every stacked object to ``y``."""
     y = np.asarray(y, dtype=float)
     if space.kind == SPHERE:
         # not the arctan2 form: last bits of split sums decide mirrored ties
@@ -309,7 +309,7 @@ def dist2_to_point(space: MetricSpace, ystack: np.ndarray,
         mids = (mids + np.swapaxes(mids, 1, 2)) / 2.0
         vals = np.linalg.eigvalsh(mids)
         return np.sum(np.log(np.maximum(vals, 1e-300)) ** 2, axis=1)
-    return pair_dist2(space, ystack, np.broadcast_to(y, np.shape(ystack)))
+    return pair_dist2(space, ystack, y[None])
 
 
 # ---------------------------------------------------------------------------

@@ -358,8 +358,26 @@ def test_pair_dist2_rows_equal_per_pair_distances(space):
         assert dk == pytest.approx(_pair_distance(space, a, b), rel=1e-15,
                                    abs=0)
     assert np.array_equal(spaces.pair_dist2(space, A[:0], B[:0]), [])
+    # one object against every row, as dist2_to_point asks
+    assert np.array_equal(spaces.pair_dist2(space, A, B[:1]),
+                          spaces.pair_dist2(space, A, np.repeat(B[:1], 12,
+                                                                axis=0)))
     with pytest.raises(ValueError, match="shape mismatch"):
         spaces.pair_dist2(space, A, B[:-1])
+
+
+@pytest.mark.parametrize("space", ALL_SPACES[:2], ids=lambda s: s.kind)
+def test_embedded_dist2_to_point_keeps_its_former_bits(space):
+    # the embedded spaces' own formulas before they went through pair_dist2
+    rng = np.random.default_rng(37)
+    ystack = np.stack([random_object(space, rng) for _ in range(30)])
+    for y in ystack[:5]:
+        if space.kind == spaces.WASSERSTEIN:
+            ref = 1.0 / space.dim * np.sum((ystack - y) ** 2, axis=1)
+        else:
+            ref = np.sum((embed(space, ystack) - embed(space, y[None])[0])
+                         ** 2, axis=1)
+        assert np.array_equal(spaces.dist2_to_point(space, ystack, y), ref)
 
 
 def test_pair_dist2_rejects_a_matrix_that_is_not_positive_definite():
