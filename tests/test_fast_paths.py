@@ -13,9 +13,10 @@ versions) and steps with the unchecked exponential map, the split scores
 shared by the trees of one scope, the per-leaf means behind
 ``predict_frf`` (read from growth where it solved them, otherwise solved
 once per tree as growth solves a node, so a model loaded from its document
-predicts as the grown one, bit for bit), and the batched sphere descent of
-``weighted_frechet_means`` (checked row by row against
-``weighted_frechet_mean``).
+predicts as the grown one, bit for bit), the row-descent policy
+``_descend_rows`` (checked row by row against ``_descend`` on toy
+objectives), and the batched sphere descent of ``weighted_frechet_means``
+(checked row by row against ``weighted_frechet_mean``).
 
 Under signed weights a curved mean is one descent from the usual start,
 like an unsigned one; the objective is then not convex, so a seeded loop
