@@ -15,8 +15,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import spaces
 from .spaces import MetricSpace
-from .tree import FrechetTree, TreeConfig, grow_tree, leaf_for
+from .tree import FrechetTree, TreeConfig, grow_tree, grow_trees, leaf_for
 
 BOOTSTRAP = "bootstrap_with_replacement"
 WITHOUT_REPLACEMENT = "without_replacement"
@@ -68,7 +69,14 @@ def _tree_rng(master_seed: int, index: int) -> np.random.Generator:
 
 def fit_forest(X: np.ndarray, Y: np.ndarray, space: MetricSpace,
                config: ForestConfig) -> ForestModel:
-    """Grow the ensemble on deterministic per-tree subsamples."""
+    """Grow the ensemble on deterministic per-tree subsamples.
+
+    Tree ``b`` draws its subsample, then its growth, from its own stream
+    ``_tree_rng(master_seed, b)``.  Where ``spaces`` solves a round's split
+    sums together, the trees grow in lockstep rounds (``tree.grow_trees``),
+    so one solve serves a round of the whole forest; elsewhere they grow
+    one by one.  The trees are the same either way.
+    """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     n = len(X)
@@ -86,14 +94,16 @@ def fit_forest(X: np.ndarray, Y: np.ndarray, space: MetricSpace,
                 and config.tree.mtry in (None, X.shape[1])):
             raise ValueError("without-replacement subsamples of size n grow "
                              "identical trees unless honest or mtry < p")
-    trees = []
-    for b in range(config.num_trees):
-        rng = _tree_rng(config.master_seed, b)
-        if config.subsample_mode == BOOTSTRAP:
-            sub = rng.integers(0, n, size=n)
-        else:
-            sub = rng.choice(n, size=s, replace=False)
-        trees.append(grow_tree(X, Y, space, np.sort(sub), config.tree, rng))
+    rngs = [_tree_rng(config.master_seed, b) for b in range(config.num_trees)]
+    subs = [np.sort(rng.integers(0, n, size=n)
+                    if config.subsample_mode == BOOTSTRAP
+                    else rng.choice(n, size=s, replace=False))
+            for rng in rngs]
+    if spaces.solves_sets_together(space):
+        trees = grow_trees(X, Y, space, subs, config.tree, rngs)
+    else:  # lockstep would save no solve and hold every tree's records
+        trees = [grow_tree(X, Y, space, sub, config.tree, rng)
+                 for sub, rng in zip(subs, rngs)]
     return ForestModel(trees, X, Y, space, config)
 
 

@@ -145,6 +145,7 @@ def predict_frf(model: ForestModel, x: np.ndarray, return_info: bool = False):
 
     Its info is the second-stage solver's, with weights ``1/B`` per tree.
     """
+    x = _queries(model, x, 1)
     preds = np.stack([tree_predict(t, x, model.Y, model.space)
                       for t in model.trees])
     B = len(preds)
@@ -169,12 +170,25 @@ def predict_forest_batch(model: ForestModel, X_query: np.ndarray,
     return out
 
 
+def _queries(fitted, X_query, ndim: int) -> np.ndarray:
+    """``X_query`` as floats, one query (``ndim`` 1) or a matrix of them
+    (``ndim`` 2); ``ValueError`` unless a query is as wide as the training
+    ``X`` of the :func:`fit_cell` state ``fitted``."""
+    X_query = np.asarray(X_query, dtype=float)
+    p = np.shape(fitted.X if hasattr(fitted, "X") else fitted[0])[1]
+    if X_query.ndim != ndim or X_query.shape[-1] != p:
+        raise ValueError(f"a query must have {p} predictor columns, as the "
+                         f"training X has; got shape {X_query.shape}")
+    return X_query
+
+
 def _query_weights(kind: str, fitted, x: np.ndarray) -> np.ndarray:
     """The weights ``kind`` averages at ``x``, from a :func:`fit_cell` state.
 
     The one rule per kind, shared by ``predict_<kind>`` and
     :func:`predict_batches`; ``frf`` averages leaf means instead.
     """
+    x = _queries(fitted, x, 1)
     if kind == "rfwlcfr":
         return kernel_weights(fitted, x)
     if kind == "rfwllfr":
@@ -331,7 +345,8 @@ def fit_cell(kind: str, X: np.ndarray, Y: np.ndarray, space: MetricSpace,
 def predict_batches(kinds, fitted, X_query: np.ndarray) -> dict:
     """``{kind: predictions at every row of X_query}`` of kinds that share
     one :func:`fit_cell` state.  A kind that raises ``ValueError`` or
-    ``LinAlgError`` maps to that exception, so it fails alone.
+    ``LinAlgError`` maps to that exception, so it fails alone.  Queries
+    whose width is not the training ``X``'s raise ``ValueError``.
 
     ``rfwlcfr`` and ``rfwllfr`` average one :func:`forest.forest_weights`
     pass, each query routed through each tree once, and ``rfwllfr`` turns
@@ -342,7 +357,7 @@ def predict_batches(kinds, fitted, X_query: np.ndarray) -> dict:
     ``predict_<kind>`` within 1e-6; elsewhere the per-query solves, bit for
     bit.
     """
-    X_query = np.asarray(X_query, dtype=float)
+    X_query = _queries(fitted, X_query, 2)
     out, alpha = {}, None
     for kind in kinds:
         try:

@@ -21,6 +21,9 @@ sphere it runs one vectorised descent, which agrees with the single-problem
 ``sum_sq_to_means`` gives the split sums of many index sets, and alone
 decides how: in the affine space one square-root descent solves them as
 rows, each bit for bit its own single solve; elsewhere set by set.
+``solves_sets_together`` says which, so that tree growth queues a round
+of a whole forest's trees only where one call then saves descents.
+Every batch bounds its working arrays by ``_BLOCK_ENTRIES`` array entries.
 
 Objects are plain numpy arrays: a length-``m`` nondecreasing vector, an
 ``m x m`` SPD matrix, or a unit vector.  Collections of objects are stacked
@@ -417,6 +420,12 @@ def weighted_frechet_mean(space: MetricSpace, ystack: np.ndarray,
     return out
 
 
+def solves_sets_together(space: MetricSpace) -> bool:
+    """Whether :func:`sum_sq_to_means` solves a list of sets in fewer
+    descents than sets, so that queueing more sets per call saves work."""
+    return space.kind == SPD_AFFINE
+
+
 def sum_sq_to_means(space: MetricSpace, ystack: np.ndarray, sets) -> list:
     """``(sum, mean)`` of ``ystack[idx]`` under equal weights, for each
     index array in the list ``sets``: the sum of squared distances to the
@@ -427,20 +436,21 @@ def sum_sq_to_means(space: MetricSpace, ystack: np.ndarray, sets) -> list:
     decides between them, so the affine space keeps the square-root form
     of the descent (``weighted_frechet_mean`` uses the faster moving-frame
     form, which agrees to rounding): one descent solves each block of
-    about ``_BLOCK_ENTRIES`` objects, a set per row, and a mean is its
-    final iterate.  Elsewhere each set is solved alone, and its mean is
-    ``weighted_frechet_mean``'s, bit for bit.
+    about ``_BLOCK_ENTRIES`` matrix entries (``dim**2`` per object), a set
+    per row, and a mean is its final iterate.  Elsewhere each set is
+    solved alone, and its mean is ``weighted_frechet_mean``'s, bit for
+    bit.  :func:`solves_sets_together` tells which.
     """
     ystack = np.asarray(ystack, dtype=float)
     out = []
-    if space.kind != SPD_AFFINE:
+    if not solves_sets_together(space):
         for idx in sets:
             ys, w = ystack[idx], np.ones(len(idx))
             mean = weighted_frechet_mean(space, ys, w)
             out.append((frechet_objective(space, ys, w, mean), mean))
         return out
     sizes = np.array([len(idx) for idx in sets], dtype=int)
-    block = (np.cumsum(sizes) - sizes) // _BLOCK_ENTRIES
+    block = (np.cumsum(sizes) - sizes) * space.dim ** 2 // _BLOCK_ENTRIES
     for b in dict.fromkeys(block.tolist()):  # np.unique would load numpy.ma
         stacks = [ystack[sets[i]] for i in np.flatnonzero(block == b)]
         wns = [np.ones(len(ys)) / len(ys) for ys in stacks]

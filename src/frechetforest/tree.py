@@ -22,8 +22,11 @@ round is a whole level of open nodes; otherwise it is the depth-first head
 alone, and the feature draws keep their order.  On a curved space the
 engine queues every index set a round's split searches will solve, and its
 first miss hands them all to one ``spaces.sum_sq_to_means`` call, which
-decides how the queue is solved.  Trees are those of a node-by-node
-recursion, bit for bit.
+decides how the queue is solved.  :func:`grow_trees` grows many trees in
+lockstep rounds, each tree's batch in one round, on one engine; where
+``spaces.solves_sets_together`` (the affine space), ``forest.fit_forest``
+grows a forest so, and one call solves a round of the whole forest.
+Trees are those of a node-by-node recursion, bit for bit.
 
 A split engine keeps one record per distinct index set: its sum of
 squares, each feature's best split, and on curved spaces the Frechet mean
@@ -205,7 +208,8 @@ class _Responses:
             rec = self._ss.get(key)
             for j in feats:
                 skey = self.split_key(X, config, j)
-                if rec is None or skey not in rec.splits:
+                if ((rec is None or skey not in rec.splits)
+                        and (key, skey) not in self.parts):
                     parts = self.parts[key, skey] = _partitions(
                         self, samples, X[samples, j], config)
                     sets += [samples[s] for _, m in parts for s in (m, ~m)]
@@ -425,9 +429,20 @@ def grow_tree(X: np.ndarray, ystack: np.ndarray, space: MetricSpace,
               subsample_indices: np.ndarray, config: TreeConfig,
               rng: np.random.Generator) -> FrechetTree:
     """Grow a Frechet tree on a subsample (a multiset of training indices);
-    ``rng`` draws the honest halves and the candidate features."""
-    subsample = np.asarray(subsample_indices, dtype=np.intp)
-    if len(subsample) == 0:
+    ``rng`` draws the honest halves and the candidate features.  The
+    one-tree case of :func:`grow_trees`."""
+    return grow_trees(X, ystack, space, [subsample_indices], config, [rng])[0]
+
+
+def grow_trees(X: np.ndarray, ystack: np.ndarray, space: MetricSpace,
+               subsamples: list, config: TreeConfig, rngs: list) -> list:
+    """Grow a tree on each subsample in lockstep rounds, tree ``b`` drawing
+    from ``rngs[b]``; each is the tree :func:`grow_tree` grows from its
+    subsample and stream, bit for bit.  One engine serves every tree, so a
+    round queues the split sums of all of them, and an index set that two
+    trees reach is solved once."""
+    subsamples = [np.asarray(s, dtype=np.intp) for s in subsamples]
+    if any(len(s) == 0 for s in subsamples):
         raise ValueError("subsample is empty")
     p = X.shape[1]
     mtry = config.mtry if config.mtry is not None else p
@@ -435,31 +450,40 @@ def grow_tree(X: np.ndarray, ystack: np.ndarray, space: MetricSpace,
         raise ValueError("mtry must lie in [1, p]")
     resp = _responses_for(space, ystack)
 
-    structure = prediction = subsample
-    struct_half = pred_half = None
-    if config.honest:
-        if len(subsample) < 2 * config.min_leaf:
-            raise ValueError(
-                "honest tree needs a subsample of size >= 2*min_leaf")
-        perm = rng.permutation(len(subsample))
-        half = math.ceil(len(subsample) / 2)
-        struct_half = subsample[perm[:half]]
-        pred_half = subsample[perm[half:]]
-        structure, prediction = struct_half, pred_half
+    trees, frontiers = [], []
+    for subsample, rng in zip(subsamples, rngs):
+        structure = prediction = subsample
+        struct_half = pred_half = None
+        if config.honest:
+            if len(subsample) < 2 * config.min_leaf:
+                raise ValueError(
+                    "honest tree needs a subsample of size >= 2*min_leaf")
+            perm = rng.permutation(len(subsample))
+            half = math.ceil(len(subsample) / 2)
+            struct_half = subsample[perm[:half]]
+            pred_half = subsample[perm[half:]]
+            structure, prediction = struct_half, pred_half
+        trees.append(FrechetTree({"leaf": prediction}, subsample, struct_half,
+                                 pred_half))
+        frontiers.append([(trees[-1].root, structure, 1)])
 
-    # a round searches every open node (a level) when growth draws no
-    # features, else only the depth-first head, so draws keep their order
-    root = {"leaf": prediction}
-    frontier = [(root, structure, 1)]
-    while frontier:
-        batch = frontier if mtry == p else frontier[:1]
-        frontier, children = frontier[len(batch):], []
-        search = [(node, idx, depth, np.sort(rng.choice(
-            p, size=mtry, replace=False)) if mtry < p else np.arange(p))
-            for node, idx, depth in batch
-            if depth < config.max_depth and len(idx) >= 2 * config.min_leaf]
-        resp.expect([(idx, feats) for _, idx, _, feats in search], X, config)
-        for node, idx, depth, feats in search:
+    # a round searches, in every tree, every open node (a level) when
+    # growth draws no features, else only the depth-first head, so each
+    # tree's draws keep their order
+    while any(frontiers):
+        search = []
+        for b, rng in enumerate(rngs):
+            batch = frontiers[b] if mtry == p else frontiers[b][:1]
+            frontiers[b] = frontiers[b][len(batch):]
+            search += [(b, node, idx, depth, np.sort(rng.choice(
+                p, size=mtry, replace=False)) if mtry < p else np.arange(p))
+                for node, idx, depth in batch
+                if depth < config.max_depth
+                and len(idx) >= 2 * config.min_leaf]
+        resp.expect([(idx, feats) for _, _, idx, _, feats in search], X,
+                    config)
+        children = [[] for _ in trees]
+        for b, node, idx, depth, feats in search:
             rule = best_split(idx, feats, X, ystack, space, config, resp)
             if rule is None:
                 continue
@@ -470,18 +494,18 @@ def grow_tree(X: np.ndarray, ystack: np.ndarray, space: MetricSpace,
                 # the side with no prediction indices is merged into its
                 # sibling, which grows in this node's place; so no open
                 # node has an empty prediction set
-                children.append((node, idx[left if pleft.any() else ~left],
-                                 depth + 1))
+                children[b].append((node, idx[left if pleft.any() else ~left],
+                                    depth + 1))
                 continue
             del node["leaf"]
             node.update(rule=rule, left={"leaf": pred[pleft]},
                         right={"leaf": pred[~pleft]})
-            children += [(node["left"], idx[left], depth + 1),
-                         (node["right"], idx[~left], depth + 1)]
-        frontier = children + frontier
-    tree = FrechetTree(root, subsample, struct_half, pred_half)
-    tree.leaf_means = resp.solved_means(iter_leaves(tree))
-    return tree
+            children[b] += [(node["left"], idx[left], depth + 1),
+                            (node["right"], idx[~left], depth + 1)]
+        frontiers = [c + f for c, f in zip(children, frontiers)]
+    for tree in trees:
+        tree.leaf_means = resp.solved_means(iter_leaves(tree))
+    return trees
 
 
 def leaf_for(tree: FrechetTree, x: np.ndarray) -> np.ndarray:

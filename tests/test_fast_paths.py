@@ -461,6 +461,19 @@ def _recursive_grow_tree(X, ystack, space, subsample_indices, config, rng):
     return grown
 
 
+def _recursive_grow_trees(X, ystack, space, subsamples, config, rngs):
+    """The lockstep entry as the recursion: each tree on its own stream."""
+    return [_recursive_grow_tree(X, ystack, space, sub, config, rng)
+            for sub, rng in zip(subsamples, rngs)]
+
+
+def _grow_recursively(monkeypatch):
+    """Make ``fit_forest`` grow every tree by the recursion, whichever of
+    its growth entries a space takes."""
+    monkeypatch.setattr(forest, "grow_tree", _recursive_grow_tree)
+    monkeypatch.setattr(forest, "grow_trees", _recursive_grow_trees)
+
+
 def _trees_and_means(X, Y, space, p, split_method):
     """``to_dict`` JSON and kept leaf means of seeded forests for mtry 1
     and p, honest and not, grown outside and then inside one
@@ -490,7 +503,7 @@ def test_level_rounds_grow_the_recursive_trees(monkeypatch, space, p,
     X = rng.uniform(size=(n, p))
     Y = _objects(space, n, rng)
     got = _trees_and_means(X, Y, space, p, split_method)
-    monkeypatch.setattr(forest, "grow_tree", _recursive_grow_tree)
+    _grow_recursively(monkeypatch)
     want = _trees_and_means(X, Y, space, p, split_method)
     assert [doc for doc, _ in got] == [doc for doc, _ in want]
     assert any('"rule"' in doc for doc, _ in got)
@@ -524,11 +537,135 @@ def test_level_rounds_solve_the_same_sets_in_few_calls(monkeypatch, space):
     level_solves, level_calls = len(solves), len(calls)
     solves.clear()
     calls.clear()
-    monkeypatch.setattr(forest, "grow_tree", _recursive_grow_tree)
+    _grow_recursively(monkeypatch)
     fit_forest(X, Y, space, config)
     assert len(solves) == len(calls) > 5 * trees
     assert level_solves == len(solves)
     assert level_calls <= trees * (max_depth - 1)
+
+
+def test_affine_forest_solves_a_round_of_every_tree_in_one_call(
+        monkeypatch):
+    # an affine forest grows its trees in lockstep rounds on one engine:
+    # one ``sum_sq_to_means`` call per level of the whole forest, where
+    # growing tree by tree takes one per level of each tree
+    rng = np.random.default_rng(79)
+    n, max_depth = 60, 5
+    space = spd_space(2, "affine")
+    X = rng.uniform(size=(n, 2))
+    Y = _objects(space, n, rng)
+    calls = []
+    original = spaces.sum_sq_to_means
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(spaces, "sum_sq_to_means", counting)
+    model = fit_forest(X, Y, space, ForestConfig(
+        num_trees=3, master_seed=5, tree=TreeConfig(max_depth=max_depth,
+                                                    min_leaf=3)))
+    depths = [max(len(path) for path in _leaf_paths(t.root))
+              for t in model.trees]
+    assert min(depths) >= 3
+    assert 0 < len(calls) <= max_depth - 1
+
+
+def _leaf_paths(node, path=()):
+    """The rule path from ``node`` to each leaf under it."""
+    if "leaf" in node:
+        return [path]
+    return (_leaf_paths(node["left"], path + ("L",))
+            + _leaf_paths(node["right"], path + ("R",)))
+
+
+def _one_by_one(X, ystack, space, subsamples, config, rngs):
+    """The lockstep entry as growth tree by tree, each with ``grow_tree``."""
+    return [grow_tree(X, ystack, space, sub, config, rng)
+            for sub, rng in zip(subsamples, rngs)]
+
+
+def _lockstep_outputs(X, Y, space, configs, shared):
+    """Per forest config: each tree's JSON and kept leaf means, and the
+    rfwlcfr, rfwllfr and frf predictions (or error text) at fixed queries;
+    with ``shared``, the forests are grown in one ``shared_node_sums``
+    scope."""
+    Xq = np.random.default_rng(83).uniform(size=(4, X.shape[1]))
+    scope = tree.shared_node_sums() if shared else contextlib.nullcontext()
+    with scope:
+        models = [fit_forest(X, Y, space, cfg) for cfg in configs]
+    out = []
+    for model in models:
+        out.append([(json.dumps(t.to_dict()), t.leaf_means)
+                    for t in model.trees])
+        preds = regressors.predict_batches(regressors.FOREST_KINDS, model, Xq)
+        out.append({k: str(v) if isinstance(v, Exception) else v
+                    for k, v in preds.items()})
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("split_method", ["two_means", "exhaustive"])
+def test_lockstep_forests_equal_growth_tree_by_tree(monkeypatch, m,
+                                                    split_method):
+    # trees, kept leaf means and predictions, bit for bit, for mtry 1 and
+    # p, honest or not, both subsample modes, inside and outside a scope
+    rng = np.random.default_rng(89 + m)
+    n, p = 30, 2
+    space = spd_space(m, "affine")
+    X = rng.uniform(size=(n, p))
+    Y = _objects(space, n, rng)
+    configs = [ForestConfig(
+        num_trees=3, master_seed=11, subsample_mode=mode,
+        subsample_size=None if mode == forest.BOOTSTRAP else n - 6,
+        tree=TreeConfig(max_depth=depth, min_leaf=3, mtry=mtry,
+                        honest=honest, split_method=split_method))
+        for mode in (forest.BOOTSTRAP, forest.WITHOUT_REPLACEMENT)
+        for mtry in (1, p) for honest in (False, True) for depth in (3, 4)]
+    for shared in (False, True):
+        got = _lockstep_outputs(X, Y, space, configs, shared)
+        with monkeypatch.context() as mp:
+            mp.setattr(forest, "grow_trees", _one_by_one)
+            want = _lockstep_outputs(X, Y, space, configs, shared)
+        assert any('"rule"' in doc for doc, _ in got[0])
+        for trees, ref in zip(got[::2], want[::2]):
+            assert [doc for doc, _ in trees] == [doc for doc, _ in ref]
+            for (_, means), (_, ref_means) in zip(trees, ref):
+                assert means.keys() == ref_means.keys()
+                assert all(np.array_equal(means[k], ref_means[k])
+                           for k in ref_means)
+        for preds, ref in zip(got[1::2], want[1::2]):
+            for kind in regressors.FOREST_KINDS:
+                if isinstance(ref[kind], str):
+                    assert preds[kind] == ref[kind]
+                else:
+                    assert np.array_equal(preds[kind], ref[kind])
+
+
+def test_affine_forest_solves_a_set_two_trees_reach_once(monkeypatch):
+    # without-replacement subsamples of size n give every tree the same
+    # root; the forest's one engine solves each distinct set once
+    rng = np.random.default_rng(97)
+    n = 30
+    space = spd_space(2, "affine")
+    X = rng.uniform(size=(n, 2))
+    Y = _objects(space, n, rng)
+    keys = []
+    original = spaces.sum_sq_to_means
+
+    def recording(space, ystack, sets):
+        keys.extend(idx.tobytes() for idx in sets)
+        return original(space, ystack, sets)
+
+    monkeypatch.setattr(spaces, "sum_sq_to_means", recording)
+    model = fit_forest(X, Y, space, ForestConfig(
+        num_trees=3, master_seed=3, subsample_mode=forest.WITHOUT_REPLACEMENT,
+        tree=TreeConfig(max_depth=4, min_leaf=3, mtry=1)))
+    root = model.trees[0].subsample_indices
+    assert all(np.array_equal(t.subsample_indices, root)
+               for t in model.trees)
+    assert keys.count(root.tobytes()) == 1
+    assert len(keys) == len(set(keys))
 
 
 def _fresh_leaf_means(model, x):

@@ -572,3 +572,41 @@ def test_kernel_mass_screen_decides_as_product_kernel_weights():
                     axis=1)
         assert np.array_equal(regressors.product_kernel_weights(X, x, 0.6),
                               w / w.sum())
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_queries_of_another_width_are_rejected(width):
+    # every kind, per query and per batch, rejects a query whose width is
+    # not the training X's, with one message
+    from frechetforest import simulate
+    data = simulate.generate(simulate.SimSetting("I-1", p=2, n=30),
+                             np.random.default_rng(21))
+    X, Y, space = data.X, data.Y, data.space
+    forest = regressors.fit_cell("rfwlcfr", X, Y, space,
+                                 {"max_depth": 3, "mtry": 2}, 3,
+                                 TreeConfig(), 5)
+    gfr = fit_gfr(X, Y, space)
+    Xq = np.random.default_rng(22).uniform(size=(3, width))
+    per_query = {
+        "rfwlcfr": lambda x: predict_rfwlcfr(forest, x),
+        "rfwllfr": lambda x: predict_rfwllfr(forest, x),
+        "frf": lambda x: predict_frf(forest, x),
+        "gfr": lambda x: predict_gfr(gfr, x),
+        "nw": lambda x: predict_nw(X, Y, space, x, 0.5),
+        "lfr_kernel": lambda x: predict_lfr_kernel(X, Y, space, x, 0.5)}
+    message = (f"a query must have 2 predictor columns, as the training X "
+               f"has; got shape ({width},)")
+    for kind, predict in per_query.items():
+        with pytest.raises(ValueError) as info:
+            predict(Xq[0])
+        assert str(info.value) == message, kind
+    message = message.replace(f"({width},)", f"(3, {width})")
+    for kinds, fitted in [(regressors.FOREST_KINDS, forest), (["gfr"], gfr),
+                          (regressors.KERNEL_KINDS, (X, Y, space, 0.5))]:
+        with pytest.raises(ValueError) as info:
+            regressors.predict_batches(kinds, fitted, Xq)
+        assert str(info.value) == message, kinds
+    for kind in regressors.FOREST_KINDS:
+        with pytest.raises(ValueError) as info:
+            regressors.predict_forest_batch(forest, Xq, kind)
+        assert str(info.value) == message, kind
