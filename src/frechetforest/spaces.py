@@ -454,9 +454,11 @@ def sum_sq_to_means(space: MetricSpace, ystack: np.ndarray, sets) -> list:
     for b in dict.fromkeys(block.tolist()):  # np.unique would load numpy.ma
         stacks = [ystack[sets[i]] for i in np.flatnonzero(block == b)]
         wns = [np.ones(len(ys)) / len(ys) for ys in stacks]
-        out += _affine_sqrt_dist2_rows(stacks, wns, [
-            _logchol_start(space, ys, wn) for ys, wn in zip(stacks, wns)])
-    return [(float(np.ones(len(d)) @ d), mean) for d, mean in out]
+        out += [(float(np.ones(len(d)) @ d), mean)
+                for d, mean in _affine_sqrt_dist2_rows(stacks, wns, [
+                    _logchol_start(space, ys, wn)
+                    for ys, wn in zip(stacks, wns)])]
+    return out
 
 
 def weighted_frechet_means(space: MetricSpace, ystack: np.ndarray,
@@ -500,7 +502,7 @@ def weighted_frechet_means(space: MetricSpace, ystack: np.ndarray,
                            for s in range(0, len(W), block)])
 
 
-_BLOCK_ENTRIES = 4096
+_BLOCK_ENTRIES = 4096  # array entries per block of a batched solve
 _MAX_ITER = 200
 _OBJ_TOL = 1e-10
 _GRAD_TOL = 1e-14
