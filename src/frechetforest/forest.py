@@ -15,9 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import spaces
 from .spaces import MetricSpace
-from .tree import FrechetTree, TreeConfig, grow_tree, grow_trees, leaf_for
+from .tree import FrechetTree, TreeConfig, grow_trees, leaf_for
 
 BOOTSTRAP = "bootstrap_with_replacement"
 WITHOUT_REPLACEMENT = "without_replacement"
@@ -36,6 +35,15 @@ class ForestConfig:
             raise ValueError("num_trees must be >= 1")
         if self.subsample_mode not in (BOOTSTRAP, WITHOUT_REPLACEMENT):
             raise ValueError(f"unknown subsample mode {self.subsample_mode!r}")
+        if self.subsample_size is None:
+            return
+        if self.subsample_mode == BOOTSTRAP:
+            raise ValueError("subsample_size is for without-replacement "
+                             "subsamples; a bootstrap draws n")
+        if self.subsample_size < 2 * self.tree.min_leaf:
+            raise ValueError(f"subsample_size must be >= 2*min_leaf = "
+                             f"{2 * self.tree.min_leaf}, got "
+                             f"{self.subsample_size}")
 
     @staticmethod
     def from_dict(d: dict) -> "ForestConfig":
@@ -72,10 +80,9 @@ def fit_forest(X: np.ndarray, Y: np.ndarray, space: MetricSpace,
     """Grow the ensemble on deterministic per-tree subsamples.
 
     Tree ``b`` draws its subsample, then its growth, from its own stream
-    ``_tree_rng(master_seed, b)``.  Where ``spaces`` solves a round's split
-    sums together, the trees grow in lockstep rounds (``tree.grow_trees``),
-    so one solve serves a round of the whole forest; elsewhere they grow
-    one by one.  The trees are the same either way.
+    ``_tree_rng(master_seed, b)``.  ``tree.grow_trees`` picks how the
+    trees grow, in lockstep rounds or one by one; they are the same trees
+    either way.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -99,12 +106,8 @@ def fit_forest(X: np.ndarray, Y: np.ndarray, space: MetricSpace,
                     if config.subsample_mode == BOOTSTRAP
                     else rng.choice(n, size=s, replace=False))
             for rng in rngs]
-    if spaces.solves_sets_together(space):
-        trees = grow_trees(X, Y, space, subs, config.tree, rngs)
-    else:  # lockstep would save no solve and hold every tree's records
-        trees = [grow_tree(X, Y, space, sub, config.tree, rng)
-                 for sub, rng in zip(subs, rngs)]
-    return ForestModel(trees, X, Y, space, config)
+    return ForestModel(grow_trees(X, Y, space, subs, config.tree, rngs),
+                       X, Y, space, config)
 
 
 def leaf_weights(tree: FrechetTree, leaf: np.ndarray) -> tuple:

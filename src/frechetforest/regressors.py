@@ -399,10 +399,15 @@ def forest_grid(n: int, p: int, depths=None, mtrys=None) -> list:
     """Forest tuning cells, depth-major.
 
     The grids default to ``tree.depth_grid(n)`` and ``default_mtry_grid(p)``.
+    A depth below 1 or an ``mtry`` outside ``[1, p]`` raises ``ValueError``.
     """
+    depths, mtrys = depths or depth_grid(n), mtrys or default_mtry_grid(p)
+    if min(depths) < 1:
+        raise ValueError(f"max_depth must be >= 1, got {min(depths)}")
+    if not 1 <= min(mtrys) <= max(mtrys) <= p:
+        raise ValueError(f"mtry must lie in [1, {p}], got {list(mtrys)}")
     return [{"max_depth": int(d), "mtry": int(m)}
-            for d in depths or depth_grid(n)
-            for m in mtrys or default_mtry_grid(p)]
+            for d in depths for m in mtrys]
 
 
 def kernel_grid(bandwidths=None) -> list:

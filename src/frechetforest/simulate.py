@@ -292,6 +292,12 @@ class MonteCarloConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
+        self.base_tree()  # its checks, before any run
+
+    def base_tree(self) -> TreeConfig:
+        """The tree settings every forest of a run shares."""
+        return TreeConfig(min_leaf=self.min_leaf,
+                          split_method=self.split_method, honest=self.honest)
 
 
 @dataclass
@@ -314,8 +320,7 @@ def run_once(setting: SimSetting, estimators, cfg: MonteCarloConfig,
     train = generate(setting, rng)
     test = generate(replace(setting, n=cfg.test_size), rng)
     cv_seed = seed * 1000003 + run_index
-    base = TreeConfig(min_leaf=cfg.min_leaf,
-                      split_method=cfg.split_method, honest=cfg.honest)
+    base = cfg.base_tree()
     failed = []  # the cv_failures entries of this run
     best = {}
     for family, grid in (
@@ -388,6 +393,9 @@ def monte_carlo(setting: SimSetting, estimators, cfg: MonteCarloConfig,
     if cfg.folds > setting.n:  # cv_errors' check, before any run
         raise ValueError(f"need 2 to {setting.n} folds for {setting.n} "
                          f"samples, got {cfg.folds}")
+    # the grids' checks, before any run
+    regressors.forest_grid(setting.n, setting.p, cfg.depth_grid, cfg.mtry_grid)
+    regressors.kernel_grid(cfg.bandwidth_grid)
     estimators = list(estimators)
     tasks = [(setting, estimators, cfg, seed, r) for r in range(cfg.runs)]
     if n_jobs > 1 and cfg.runs > 1:

@@ -21,8 +21,8 @@ sphere it runs one vectorised descent, which agrees with the single-problem
 ``sum_sq_to_means`` gives the split sums of many index sets, and alone
 decides how: in the affine space one square-root descent solves them as
 rows, each bit for bit its own single solve; elsewhere set by set.
-``solves_sets_together`` says which, so that tree growth queues a round
-of a whole forest's trees only where one call then saves descents.
+``solves_sets_together`` says which, so that ``tree.grow_trees`` grows a
+forest in lockstep rounds only where one call then saves descents.
 Every batch bounds its working arrays by ``_BLOCK_ENTRIES`` array entries.
 
 Objects are plain numpy arrays: a length-``m`` nondecreasing vector, an
@@ -160,15 +160,12 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
     return (vecs * np.exp(vals)) @ vecs.T
 
 
-def _sqrt_and_invsqrt(y: np.ndarray):
-    """Square root and inverse square root of an SPD matrix, or of each
-    matrix of a stack."""
+def _invsqrt(y: np.ndarray) -> np.ndarray:
+    """Inverse square root of an SPD matrix, or of each matrix of a stack."""
     vals, vecs = np.linalg.eigh(y)
     if np.any(vals[..., 0] <= 0):
         raise ValueError("matrix is not positive definite")
-    s = np.sqrt(vals)[..., None, :]
-    vt = np.swapaxes(vecs, -1, -2)
-    return (vecs * s) @ vt, (vecs / s) @ vt
+    return (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +202,9 @@ def sphere_log(base: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Riemannian log map; the returned tangent has the geodesic length."""
     base = np.asarray(base, dtype=float)
     target = np.asarray(target, dtype=float)
-    dot = float(np.clip(base @ target, -1.0, 1.0))
-    if dot <= -1.0 + 1e-12:
+    if base @ target <= -1.0 + 1e-12:
         raise ValueError("antipodal points: geodesic is not unique")
-    proj = target - dot * base
-    norm = np.linalg.norm(proj)
-    if norm < 1e-15:
-        return np.zeros_like(base)
-    return np.arccos(dot) * proj / norm
+    return _sphere_logs(base, target[None])[0]
 
 
 def _sphere_logs(base: np.ndarray, targets: np.ndarray, dots=None,
@@ -291,7 +283,7 @@ def pair_dist2(space: MetricSpace, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if space.kind == SPD_LOGCHOLESKY:
         return np.sum((embed(space, A) - embed(space, B)) ** 2, axis=1)
     # affine-invariant
-    _, isq = _sqrt_and_invsqrt(A)
+    isq = _invsqrt(A)
     mid = isq @ B @ isq
     vals = np.linalg.eigvalsh((mid + np.swapaxes(mid, 1, 2)) / 2.0)
     if np.any(vals[:, 0] <= 0):
@@ -307,7 +299,7 @@ def dist2_to_point(space: MetricSpace, ystack: np.ndarray,
         # not the arctan2 form: last bits of split sums decide mirrored ties
         return np.arccos(np.minimum(np.maximum(ystack @ y, -1.0), 1.0)) ** 2
     if space.kind == SPD_AFFINE:  # the form _affine_sqrt_dist2_rows matches
-        _, isq = _sqrt_and_invsqrt(y)
+        isq = _invsqrt(y)
         mids = np.einsum("ij,njk,kl->nil", isq, ystack, isq)
         mids = (mids + np.swapaxes(mids, 1, 2)) / 2.0
         vals = np.linalg.eigvalsh(mids)
@@ -350,15 +342,12 @@ def unembed(space: MetricSpace, e: np.ndarray) -> np.ndarray:
     if space.kind == WASSERSTEIN:
         return e / np.sqrt(1.0 / space.dim)
     if space.kind == SPD_LOGCHOLESKY:
-        if e.ndim == 2:
-            return np.stack([unembed(space, row) for row in e])
         m = space.dim
-        L = np.zeros((m, m))
-        tril = _tril(m)
-        k = tril[0].size
-        L[tril] = e[:k]
-        L[np.arange(m), np.arange(m)] = np.exp(e[k:])
-        return L @ L.T
+        tril, diag = _tril(m), np.arange(m)
+        L = np.zeros(e.shape[:-1] + (m, m))
+        L[..., tril[0], tril[1]] = e[..., :tril[0].size]
+        L[..., diag, diag] = np.exp(e[..., tril[0].size:])
+        return L @ np.swapaxes(L, -1, -2)
     raise ValueError(f"space {space.kind} has no Euclidean embedding")
 
 
@@ -821,4 +810,4 @@ def _affine_sqrt_dist2_rows(ystacks, wns, starts) -> list:
     cur, keep = evaluate(everyone, np.stack(starts))
     keep(np.ones(len(sizes), dtype=bool))
     _descend_rows(cur, gradient, line)
-    return [(dist2_all[sl], P[r]) for r, sl in objects(everyone)[2]]
+    return [(dist2_all[sl], P[r].copy()) for r, sl in objects(everyone)[2]]

@@ -22,10 +22,10 @@ round is a whole level of open nodes; otherwise it is the depth-first head
 alone, and the feature draws keep their order.  On a curved space the
 engine queues every index set a round's split searches will solve, and its
 first miss hands them all to one ``spaces.sum_sq_to_means`` call, which
-decides how the queue is solved.  :func:`grow_trees` grows many trees in
-lockstep rounds, each tree's batch in one round, on one engine; where
-``spaces.solves_sets_together`` (the affine space), ``forest.fit_forest``
-grows a forest so, and one call solves a round of the whole forest.
+decides how the queue is solved.  :func:`grow_trees` grows a forest and
+picks how: where ``spaces.solves_sets_together`` (the affine space), in
+lockstep rounds, each tree's batch in one round, on one engine, so one
+call solves a round of the whole forest; elsewhere tree by tree.
 Trees are those of a node-by-node recursion, bit for bit.
 
 A split engine keeps one record per distinct index set: its sum of
@@ -436,11 +436,15 @@ def grow_tree(X: np.ndarray, ystack: np.ndarray, space: MetricSpace,
 
 def grow_trees(X: np.ndarray, ystack: np.ndarray, space: MetricSpace,
                subsamples: list, config: TreeConfig, rngs: list) -> list:
-    """Grow a tree on each subsample in lockstep rounds, tree ``b`` drawing
-    from ``rngs[b]``; each is the tree :func:`grow_tree` grows from its
-    subsample and stream, bit for bit.  One engine serves every tree, so a
-    round queues the split sums of all of them, and an index set that two
-    trees reach is solved once."""
+    """Grow a tree on each subsample, tree ``b`` drawing from ``rngs[b]``;
+    each is the tree :func:`grow_tree` grows from its subsample and
+    stream, bit for bit.  Where ``spaces.solves_sets_together``, they grow
+    in lockstep rounds on one engine, so a round queues the split sums of
+    all of them, and a set two trees reach is solved once; elsewhere one
+    by one, as lockstep would save no solve and hold every tree's records."""
+    if len(subsamples) > 1 and not spaces.solves_sets_together(space):
+        return [grow_tree(X, ystack, space, sub, config, rng)
+                for sub, rng in zip(subsamples, rngs)]
     subsamples = [np.asarray(s, dtype=np.intp) for s in subsamples]
     if any(len(s) == 0 for s in subsamples):
         raise ValueError("subsample is empty")

@@ -344,6 +344,53 @@ def test_bench_table_rejects_a_zero_count(tmp_path, capsys, flag):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--min-leaf", "0"], "min_leaf must be >= 1"),
+    (["--depth-grid", "0", "3"], "max_depth must be >= 1"),
+    (["--mtry-grid", "1", "3"], "mtry must lie in [1, 2]")],
+    ids=["min-leaf", "depth", "mtry"])
+def test_bench_table_rejects_tree_settings_every_fit_fails(
+        tmp_path, capsys, monkeypatch, flags, message):
+    # each wrote a summary of failed runs or infinite CV cells, and exited 0
+    monkeypatch.setattr(simulate, "run_once", None)  # no run may start
+    rc = cli.main(["bench-table", "--scenario", "I-1", "--p", "2", "--n",
+                   "30", "--runs", "1", "--estimators", "rfwlcfr",
+                   "--seed", "8", "--folds", "2", *flags,
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["command"] == "bench-table"
+    assert message in err["error"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--depth-grid", "0", "3"], "max_depth must be >= 1"),
+    (["--mtry-grid", "5"], "mtry must lie in [1, 2]")],
+    ids=["depth", "mtry"])
+def test_tune_rejects_tree_settings_every_fit_fails(tmp_path, capsys,
+                                                    monkeypatch, flags,
+                                                    message):
+    # depth 0 was dropped with a warning per fold; mtry 5 at p = 2 failed
+    # every fold and exited with "no grid cell scored"
+    out = tmp_path / "data"
+    cli.main(["simulate", "--scenario", "I-1", "--p", "2", "--n", "40",
+              "--seed", "6", "--out-dir", str(out)])
+    capsys.readouterr()
+    monkeypatch.setattr(regressors, "tune_cv", None)  # no fit may start
+    rc = cli.main(["tune", "--estimator", "rfwlcfr", "--space",
+                   "wasserstein", "--dim", "21", "--x", str(out / "X.csv"),
+                   "--y", str(out / "Y.csv"), "--seed", "2", "--folds", "2",
+                   "--num-trees", "3", *flags,
+                   "--out", str(tmp_path / "cv.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["command"] == "tune"
+    assert message in json.loads(err[0])["error"]
+    assert sorted(os.listdir(tmp_path)) == ["data"]
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 3, "out_dir": str(tmp_path / "d")}))

@@ -468,9 +468,8 @@ def _recursive_grow_trees(X, ystack, space, subsamples, config, rngs):
 
 
 def _grow_recursively(monkeypatch):
-    """Make ``fit_forest`` grow every tree by the recursion, whichever of
-    its growth entries a space takes."""
-    monkeypatch.setattr(forest, "grow_tree", _recursive_grow_tree)
+    """Make ``fit_forest`` grow every tree by the recursion, whichever way
+    ``grow_trees`` would grow the space's forest."""
     monkeypatch.setattr(forest, "grow_trees", _recursive_grow_trees)
 
 
@@ -658,6 +657,41 @@ def test_affine_forest_solves_a_set_two_trees_reach_once(monkeypatch):
                for t in model.trees)
     assert keys.count(root.tobytes()) == 1
     assert len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("space,one_by_one",
+                         [(sphere_space(3), 3), (spd_space(2, "affine"), 0)],
+                         ids=["sphere", "spd_affine"])
+def test_grow_trees_grows_one_by_one_unless_sets_solve_together(
+        monkeypatch, space, one_by_one):
+    # the sphere solves split sums set by set, so lockstep saves no solve
+    # there: its trees grow through ``grow_tree``, one call each
+    rng = np.random.default_rng(89)
+    X = rng.uniform(size=(30, 2))
+    Y = _objects(space, 30, rng)
+    grown = []
+    original = tree.grow_tree
+
+    def counting(*args):
+        grown.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(tree, "grow_tree", counting)
+    fit_forest(X, Y, space, ForestConfig(
+        num_trees=3, master_seed=2, tree=TreeConfig(max_depth=3)))
+    assert len(grown) == one_by_one
+
+
+def test_kept_affine_means_own_their_data():
+    # a view would keep its block's square roots alive as long as the
+    # split engine keeps the mean
+    rng = np.random.default_rng(101)
+    space = spd_space(2, "affine")
+    Y = _objects(space, 20, rng)
+    sums = spaces.sum_sq_to_means(space, Y, [np.arange(k, 20)
+                                             for k in range(0, 12, 3)])
+    assert len(sums) == 4
+    assert all(mean.base is None for _, mean in sums)
 
 
 def _fresh_leaf_means(model, x):

@@ -131,6 +131,17 @@ def test_honest_forest_zero_structure_weight():
             assert np.all(w[np.asarray(t.structure_indices)] == 0.0)
 
 
+@pytest.mark.parametrize("mode,size,message", [
+    ("bootstrap_with_replacement", 10, "without-replacement"),
+    ("without_replacement", 3, "subsample_size must be >= 2"),
+    ("without_replacement", -2, "subsample_size must be >= 2")])
+def test_bad_subsample_size_rejected(mode, size, message):
+    # a bootstrap drew n regardless, a size below 2*min_leaf grew one-leaf
+    # trees, and a negative size failed inside numpy
+    with pytest.raises(ValueError, match=message):
+        ForestConfig(num_trees=3, subsample_mode=mode, subsample_size=size)
+
+
 def test_insufficient_data_rejected():
     X = scalar_data([0.0, 1.0])
     Y = scalar_data([0.0, 1.0])

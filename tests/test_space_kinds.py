@@ -22,6 +22,14 @@ def _kind_names() -> list:
     raise AssertionError("spaces.py assigns no KINDS tuple")
 
 
+def test_only_tree_growth_asks_whether_sets_solve_together():
+    # ``tree.grow_trees`` alone picks lockstep or one-by-one growth
+    hits = sorted(path.name for path in PACKAGE.glob("*.py")
+                  if "solves_sets_together" in path.read_text(
+                      encoding="utf-8"))
+    assert hits == ["spaces.py", "tree.py"]
+
+
 def test_no_module_but_spaces_names_a_space_kind():
     names = _kind_names()
     assert names == ["WASSERSTEIN", "SPD_LOGCHOLESKY", "SPD_AFFINE",
