@@ -6,6 +6,8 @@ The forest kernel assigns training sample ``i`` the weight
 
 averaged over the ``B`` trees.  Under bootstrap resampling a sample drawn
 twice counts as two leaf occupants.  Weights are nonnegative and sum to one.
+``fit_forest`` draws every tree's subsample and hands them all to one
+``tree.grow_trees`` call, which picks how the forest grows.
 """
 
 from __future__ import annotations
