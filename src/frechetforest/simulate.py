@@ -393,6 +393,9 @@ def monte_carlo(setting: SimSetting, estimators, cfg: MonteCarloConfig,
     if cfg.folds > setting.n:  # cv_errors' check, before any run
         raise ValueError(f"need 2 to {setting.n} folds for {setting.n} "
                          f"samples, got {cfg.folds}")
+    if setting.n < 2 * cfg.min_leaf:  # fit_forest's check, before any run
+        raise ValueError(f"need at least 2*min_leaf = {2 * cfg.min_leaf} "
+                         f"training samples, got n = {setting.n}")
     # the grids' checks, before any run
     regressors.forest_grid(setting.n, setting.p, cfg.depth_grid, cfg.mtry_grid)
     regressors.kernel_grid(cfg.bandwidth_grid)

@@ -425,8 +425,13 @@ def sum_sq_to_means(space: MetricSpace, ystack: np.ndarray, sets) -> list:
     decides between them, so the affine space keeps the square-root form
     of the descent (``weighted_frechet_mean`` uses the faster moving-frame
     form, which agrees to rounding): one descent solves each block of
-    about ``_BLOCK_ENTRIES`` matrix entries (``dim**2`` per object), a set
-    per row, and a mean is its final iterate.  Elsewhere each set is
+    about ``_BLOCK_ENTRIES`` matrix entries (``dim**2`` per entry, repeats
+    included), a set per row, from Log-Cholesky starts that one embedding
+    of the block gives, and a mean is its final iterate.  The descent
+    decomposes each distinct object of a set once, but sums over every
+    entry in the set's order, since a sum's last bit decides ties; equal
+    objects give equal bits, so the sums are those of one decomposition
+    per entry.  Elsewhere each set is
     solved alone, and its mean is ``weighted_frechet_mean``'s, bit for
     bit.  :func:`solves_sets_together` tells which.
     """
@@ -438,15 +443,19 @@ def sum_sq_to_means(space: MetricSpace, ystack: np.ndarray, sets) -> list:
             mean = weighted_frechet_mean(space, ys, w)
             out.append((frechet_objective(space, ys, w, mean), mean))
         return out
+    logchol = MetricSpace(SPD_LOGCHOLESKY, space.dim)
     sizes = np.array([len(idx) for idx in sets], dtype=int)
     block = (np.cumsum(sizes) - sizes) * space.dim ** 2 // _BLOCK_ENTRIES
     for b in dict.fromkeys(block.tolist()):  # np.unique would load numpy.ma
-        stacks = [ystack[sets[i]] for i in np.flatnonzero(block == b)]
-        wns = [np.ones(len(ys)) / len(ys) for ys in stacks]
+        rows = np.flatnonzero(block == b)
+        ys = ystack[np.concatenate([sets[i] for i in rows])]
+        cuts = np.cumsum(sizes[rows])[:-1]
+        wns = [np.ones(k) / k for k in sizes[rows].tolist()]
+        starts = unembed(logchol, np.stack([  # _logchol_start of each set
+            wn @ e for wn, e in zip(wns, np.split(embed(logchol, ys), cuts))]))
         out += [(float(np.ones(len(d)) @ d), mean)
-                for d, mean in _affine_sqrt_dist2_rows(stacks, wns, [
-                    _logchol_start(space, ys, wn)
-                    for ys, wn in zip(stacks, wns)])]
+                for d, mean in _affine_sqrt_dist2_rows(
+                    np.split(ys, cuts), wns, starts)]
     return out
 
 
@@ -750,30 +759,49 @@ def _affine_sqrt_dist2_rows(ystacks, wns, starts) -> list:
     ``(dist2, mean)``: the squared distances to its final iterate, bit for
     bit those of ``dist2_to_point``, and that iterate.  All rows share each
     ``eigh``, which LAPACK runs per matrix; whitening and log rebuild sum
-    in ``einsum``'s order; weighted sums run per row.  So a row's bits do
-    not depend on the others."""
+    in ``einsum``'s order; weighted sums run per row, the gradient's in a
+    zero-padded ``einsum`` that adds each row's terms in its order.  So a
+    row's bits do not depend on the others.
+
+    Adjacent entries of a row with the same bits, the repeats of a sorted
+    bootstrap multiset, are one distinct object: it is whitened and
+    decomposed once, and its distance and log are gathered back to each
+    entry.  Equal inputs give equal bits, so every weighted sum and every
+    ``dist2`` still runs over the whole multiset in its order and reads
+    what a decomposition per entry would give."""
     sizes = np.array([len(ys) for ys in ystacks])
     Y, rid = np.concatenate(ystacks), np.repeat(np.arange(len(sizes)), sizes)
     m = Y.shape[1]
+    bits = Y.reshape(len(Y), -1).view(np.int64)
+    first = np.ones(len(Y), dtype=bool)  # the first entry of an object
+    first[1:] = (rid[1:] != rid[:-1]) | (bits[1:] != bits[:-1]).any(axis=1)
+    U, urid, uid = Y[first], rid[first], np.cumsum(first) - 1
+    counts = np.bincount(urid, minlength=len(sizes))
+    ends = np.cumsum(sizes)
+    spans = [slice(e - k, e) for e, k in zip(ends.tolist(), sizes.tolist())]
+    col = np.arange(len(Y)) - (ends - sizes)[rid]  # an entry's place in row
+    W = np.zeros((len(sizes), sizes.max()))  # weights padded with zeros
+    W[rid, col] = np.concatenate(wns)
     P, SQ = np.empty((2, len(sizes), m, m))
-    mids_all, dist2_all = np.empty_like(Y), np.empty(len(Y))
+    mids_all, dist2_all = np.empty_like(U), np.empty(len(U))
 
-    def objects(rows):  # their objects, each one's row, each row's slice
-        on, n = np.zeros(len(sizes), dtype=bool), sizes[rows]
+    def objects(rows):
+        """The distinct objects of ``rows``, each one's place in ``rows``,
+        the entries of ``rows``, and each entry's place among the objects."""
+        on = np.zeros(len(sizes), dtype=bool)
         on[rows] = True
-        ends = np.cumsum(n).tolist()
-        return (np.flatnonzero(on[rid]),
-                np.repeat(np.arange(len(rows)), n),
-                [(r, slice(e - k, e))
-                 for r, e, k in zip(rows.tolist(), ends, n.tolist())])
+        ent = np.flatnonzero(on[rid])
+        return (np.flatnonzero(on[urid]),
+                np.repeat(np.arange(len(rows)), counts[rows]),
+                ent, (np.cumsum(on[urid]) - 1)[uid[ent]])
 
     def evaluate(rows, p):  # objectives at p, and a setter of the state
         vals, vecs = np.linalg.eigh(p)
         if np.any(vals[:, 0] <= 0):
             raise ValueError("matrix is not positive definite")
         s, vt = np.sqrt(vals)[:, None, :], np.swapaxes(vecs, 1, 2)
-        sel, loc, spans = objects(rows)
-        isq, ys = ((vecs / s) @ vt)[loc], Y[sel]
+        sel, loc, ent, inv = objects(rows)
+        isq, ys = ((vecs / s) @ vt)[loc], U[sel]
         mids = np.zeros_like(ys)
         for j, k in np.ndindex(m, m):  # einsum("ij,njk,kl->nil"), its order
             mids += isq[:, :, j, None] * ys[:, j, k, None, None] \
@@ -781,7 +809,9 @@ def _affine_sqrt_dist2_rows(ystacks, wns, starts) -> list:
         mids = (mids + np.swapaxes(mids, 1, 2)) / 2.0
         dist2 = np.sum(np.log(np.maximum(np.linalg.eigvalsh(mids), 1e-300))
                        ** 2, axis=1)
-        obj = np.array([wns[r] @ dist2[sl] for r, sl in spans])
+        entries = np.empty(len(Y))
+        entries[ent] = dist2[inv]
+        obj = np.array([wns[r] @ entries[spans[r]] for r in rows.tolist()])
 
         def keep(kept):
             r, o = rows[kept], kept[loc]
@@ -790,14 +820,16 @@ def _affine_sqrt_dist2_rows(ystacks, wns, starts) -> list:
         return obj, keep
 
     def gradient(rows):
-        sel, _, spans = objects(rows)
+        sel, loc, ent, inv = objects(rows)
         vals, vecs = np.linalg.eigh(mids_all[sel])
         lv, logs = np.log(vals), np.zeros_like(vecs)
         for j in range(m):  # einsum("...ij,...j,...kj->...ik"), its order
             logs += vecs[:, :, j, None] * lv[:, j, None, None] \
                 * vecs[:, None, :, j]
-        return np.stack([np.einsum("n,nij->ij", wns[r], logs[sl])
-                         for r, sl in spans])
+        width = sizes[rows].max()
+        padded = np.zeros((len(rows), width, m, m))
+        padded[loc[inv], col[ent]] = logs[inv]
+        return np.einsum("rn,rnij->rij", W[rows, :width], padded)
 
     def line(rows, steps, v):
         sym = v + np.swapaxes(v, 1, 2)
@@ -806,8 +838,8 @@ def _affine_sqrt_dist2_rows(ystacks, wns, starts) -> list:
                             @ np.swapaxes(vecs, 1, 2)) @ SQ[rows])
         return evaluate(rows, (cand + np.swapaxes(cand, 1, 2)) / 2.0)
 
-    everyone = np.arange(len(sizes))
-    cur, keep = evaluate(everyone, np.stack(starts))
+    cur, keep = evaluate(np.arange(len(sizes)), np.stack(starts))
     keep(np.ones(len(sizes), dtype=bool))
     _descend_rows(cur, gradient, line)
-    return [(dist2_all[sl], P[r].copy()) for r, sl in objects(everyone)[2]]
+    entries = dist2_all[uid]
+    return [(entries[sl], P[r].copy()) for r, sl in enumerate(spans)]

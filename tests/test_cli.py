@@ -347,8 +347,9 @@ def test_bench_table_rejects_a_zero_count(tmp_path, capsys, flag):
 @pytest.mark.parametrize("flags,message", [
     (["--min-leaf", "0"], "min_leaf must be >= 1"),
     (["--depth-grid", "0", "3"], "max_depth must be >= 1"),
-    (["--mtry-grid", "1", "3"], "mtry must lie in [1, 2]")],
-    ids=["min-leaf", "depth", "mtry"])
+    (["--mtry-grid", "1", "3"], "mtry must lie in [1, 2]"),
+    (["--min-leaf", "20"], "need at least 2*min_leaf = 40 training samples")],
+    ids=["min-leaf", "depth", "mtry", "min-leaf-above-n/2"])
 def test_bench_table_rejects_tree_settings_every_fit_fails(
         tmp_path, capsys, monkeypatch, flags, message):
     # each wrote a summary of failed runs or infinite CV cells, and exited 0

@@ -3,9 +3,10 @@
 Covers the support-only mean solve, the moving-frame affine descent
 (checked against the square-root descent of earlier versions), the split
 sums of ``sum_sq_to_means`` (bit for bit those of earlier versions), the
-square-root descent that builds logs only for its gradient and returns
-its final iterate (bit for bit the earlier one, which grows the same
-affine forests), the optimality of the affine means that growth keeps,
+square-root descent that builds logs only for its gradient and returns its
+final iterate (bit for bit the earlier one, which grows the same affine
+forests, also on bootstrap stacks with repeats, whose distinct objects it
+decomposes once), the optimality of the affine means that growth keeps,
 the per-index-set ``node_ss`` memo of the curved-space split engine, the
 split sums shared by the cross-validation forests of one fold, the sphere
 descent that carries its angles (checked against the solver of earlier
@@ -268,6 +269,98 @@ def test_sqrt_descent_equals_earlier_version_bit_for_bit(monkeypatch, m):
             assert np.array_equal(dist2, alone_dist2)
             assert np.array_equal(mean, alone_mean)
     assert len(set(iterations)) >= 4
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_sqrt_descent_on_repeated_stacks_equals_earlier_version(m):
+    # bootstrap stacks ys[sorted draws], where a third of the entries or
+    # more repeat, between stacks with no repeats, and a stack of one
+    # object followed by a stack that starts with it: each distinct object
+    # of a row is decomposed once, yet every row must be the earlier single
+    # descent's and its own solve alone, bit for bit
+    rng = np.random.default_rng(61)
+    space = spd_space(m, "affine")
+    stacks, repeats = [], []
+    for n in [6, 9, 14, 20, 31, 47, 70, 105]:
+        spread = rng.choice([0.05, 0.4, 1.5])
+        ys = _objects(space, n, rng) if spread == 0.4 else np.stack(
+            [spaces.matrix_exp(spread * (s + s.T) / 2.0)
+             for s in rng.normal(size=(n, m, m))])
+        draws = ys[np.sort(rng.integers(0, n, n))]
+        repeats.append(n - len(np.unique(draws, axis=0)))
+        stacks += [draws, ys]
+    assert min(repeats) >= 1
+    assert sum(repeats) >= sum(len(ys) for ys in stacks[::2]) / 3
+    one = _objects(space, 1, rng)
+    stacks[5:5] = [np.repeat(one, 4, axis=0), np.concatenate(
+        [np.repeat(one, 3, axis=0), _objects(space, 5, rng)])]
+    wns = [np.ones(len(ys)) / len(ys) for ys in stacks]
+    starts = [spaces._logchol_start(space, ys, wn)
+              for ys, wn in zip(stacks, wns)]
+    bounds = [0, 1, 2, 4, 7, 11, len(stacks)]
+    for lo, hi in [(0, len(stacks))] + list(zip(bounds, bounds[1:])):
+        rows = spaces._affine_sqrt_dist2_rows(stacks[lo:hi], wns[lo:hi],
+                                              starts[lo:hi])
+        assert len(rows) == hi - lo
+        for (dist2, mean), ys, wn, start in zip(
+                rows, stacks[lo:hi], wns[lo:hi], starts[lo:hi]):
+            ref_dist2, ref_mean = _old_affine_sqrt_dist2(ys, wn, start)
+            assert np.array_equal(dist2, ref_dist2)
+            assert np.array_equal(mean, ref_mean)
+            [(alone_dist2, alone_mean)] = spaces._affine_sqrt_dist2_rows(
+                [ys], [wn], [start])
+            assert np.array_equal(dist2, alone_dist2)
+            assert np.array_equal(mean, alone_mean)
+
+
+def test_affine_split_sums_decompose_each_distinct_object_once(monkeypatch):
+    # every evaluation of the descent hands eigvalsh one matrix per
+    # distinct (row, object) pair of the rows it evaluates, never one per
+    # entry of their bootstrap multisets; sums and means stay the earlier
+    # descent's from each set's own Log-Cholesky start, bit for bit
+    rng = np.random.default_rng(67)
+    space = spd_space(2, "affine")
+    ys = _objects(space, 60, rng)
+    sets = [np.sort(rng.integers(0, k, k)) for k in (60, 45, 30, 12, 7)]
+    distinct = np.array([len(np.unique(idx)) for idx in sets])
+    assert (distinct < [len(idx) for idx in sets]).all()
+    refs = []
+    for idx in sets:
+        wn = np.ones(len(idx)) / len(idx)
+        dist2, mean = _old_affine_sqrt_dist2(
+            ys[idx], wn, spaces._logchol_start(space, ys[idx], wn))
+        refs.append((float(np.ones(len(idx)) @ dist2), mean))
+    events, descents = [], []
+    eigvalsh, descend_rows = np.linalg.eigvalsh, spaces._descend_rows
+
+    def counting(a):
+        events.append(len(a))
+        return eigvalsh(a)
+
+    def recording(cur, gradient, line):
+        def recorded(rows, steps, v):
+            events.append(rows.copy())
+            return line(rows, steps, v)
+        descents.append(len(cur))
+        return descend_rows(cur, gradient, recorded)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(spaces, "_descend_rows", recording)
+    sums = spaces.sum_sq_to_means(space, ys, sets)
+    for (ss, mean), (ref_ss, ref_mean) in zip(sums, refs, strict=True):
+        assert ss == ref_ss
+        assert np.array_equal(mean, ref_mean)
+    assert descents == [len(sets)]  # one block: rows are the sets
+    rows, evaluations = np.arange(len(sets)), 0
+    for event in events:
+        if isinstance(event, int):
+            assert event == distinct[rows].sum()
+            evaluations += 1
+        else:
+            rows = event
+    # several steps, and some evaluate only the rows not yet converged
+    assert evaluations >= 4
+    assert min(len(e) for e in events if not isinstance(e, int)) < len(sets)
 
 
 def _affine_forests(split_method, honest):

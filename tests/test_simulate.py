@@ -180,6 +180,15 @@ def test_monte_carlo_rejects_fewer_than_one_job(n_jobs):
                     MonteCarloConfig(runs=2), n_jobs=n_jobs)
 
 
+def test_monte_carlo_rejects_a_min_leaf_above_half_of_n(monkeypatch):
+    # every run failed inside fit_forest, and the summary read NaN
+    monkeypatch.setattr(simulate, "run_once", None)  # no run may start
+    with pytest.raises(ValueError, match=r"2\*min_leaf = 22 training "
+                                         r"samples, got n = 21"):
+        monte_carlo(SimSetting("I-1", p=2, n=21), ["rfwlcfr"],
+                    MonteCarloConfig(runs=2, min_leaf=11))
+
+
 def test_sim_setting_takes_a_zero_sigma():
     data = generate(SimSetting("I-1", p=2, n=10, sigma=0.0),
                     np.random.default_rng(1))
